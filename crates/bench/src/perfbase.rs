@@ -25,7 +25,7 @@ use casbn_distsim::CostModel;
 use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
 use casbn_graph::{DeltaGraph, EdgeDelta, Graph, PartitionKind};
 use casbn_mcode::{mcode_cluster_into, Cluster, McodeParams, McodeScratch};
-use casbn_serve::{run_script, Request, ServeEngine, SessionConfig};
+use casbn_serve::{run_script, Request, ServeEngine};
 use casbn_store::{Store, StoreWriter};
 use casbn_stream::{synthesize_replay, OnlineCorrelation, StreamConfig, StreamDriver};
 use serde::{Deserialize, Serialize};
@@ -459,8 +459,7 @@ pub fn run_suite(scale: f64, repeats: usize) -> PerfSuite {
     };
     let script_checksum = {
         let mut eng = ServeEngine::from_replay(replay.clone(), cfg);
-        let (report, _) = run_script(&mut eng, &script, &SessionConfig::default())
-            .expect("pinned serve script replays");
+        let (report, _) = run_script(&mut eng, &script).expect("pinned serve script replays");
         report.responses_checksum
     };
     let (wall, counters, _served) = timed_counted(repeats, || {

@@ -13,7 +13,7 @@ use casbn_graph::{store as graph_store, Graph, PartitionKind};
 use casbn_mcode::{mcode_cluster, store as mcode_store, Cluster, McodeParams};
 use casbn_serve::{
     install_sigint_handler, parse_script, run_script, serve_session, serve_tcp, shutdown_flag,
-    ServeEngine, SessionConfig, BATCH_MAX,
+    ServeEngine, SessionConfig,
 };
 use casbn_store::io::{append_durable, save_atomic, write_atomic, RealFs, RetryPolicy};
 use casbn_store::{is_store_bytes, SectionKind, Store, StoreWriter};
@@ -42,9 +42,8 @@ USAGE:
                  [--checkpoint FILE] [--resume FILE [--degraded]]
                  [--windows N] [--io-retries N] [--metrics FILE|-]
   casbn serve    (--in FILE | --preset P [--scale F] [--samples N])
-                 [--script FILE] [--listen ADDR] [--threads N] [--batch N]
-                 [--checkpoint FILE] [--expect-checksum N] [--io-retries N]
-                 [--metrics FILE|-]
+                 [--script FILE] [--listen ADDR] [--checkpoint FILE]
+                 [--expect-checksum N] [--io-retries N] [--metrics FILE|-]
   casbn pack     --in FILE --kind graph|replay|clusters --out FILE
   casbn inspect  --in FILE [--json] [--degraded] [--metrics FILE|-]
   casbn verify   --in FILE [--metrics FILE|-]
@@ -89,8 +88,7 @@ FLAGS:
                against --baseline to FILE (the CI job-summary artifact)
   --samples    `stream` sample count of a synthesized replay (default:
                the preset's native array count)
-  --batch      `stream` samples ingested per window (default 2); for
-               `serve`: queries buffered per batch dispatch (default 16)
+  --batch      `stream` samples ingested per window (default 2)
   --min-rho    `stream` correlation retention threshold (default 0.95)
   --replay-out write the synthesized replay to FILE (sample-major rows,
                re-playable with `casbn stream --in FILE`)
@@ -125,8 +123,6 @@ FLAGS:
   --listen     `serve`: accept concurrent read-only TCP sessions on ADDR
                (e.g. 127.0.0.1:7878) until SIGINT; a streaming source
                ingests concurrently, rotating snapshots per window
-  --threads    `serve` worker threads per query batch (default 1; the
-               response bytes are identical for any value)
   --target     `fuzz` input surface: edge-list | replay | csbn |
                csbn-lazy | csbn-append | csbn-crash | checkpoint-resume |
                csbn-serve | cli-argv | all (default all)
@@ -296,9 +292,9 @@ casbn serve — resident concurrent query daemon over the pipeline
 Holds the current network, its MCODE clusters and the rho/enrichment
 indices resident, and answers queries over a length-prefixed
 request/response protocol: gene neighborhood, cluster membership, rho
-lookup, gene-set enrichment, snapshot statistics. Decoded queries are
-grouped into batches of up to 16 and dispatched onto a worker pool; the
-response bytes are identical for any --threads value.
+lookup, gene-set enrichment, snapshot statistics. Each query is
+answered as it arrives, against the snapshot current at that moment,
+and its response is written before the next request is read.
 
 A --preset (or .csbn matrix) source streams: `ingest N` requests advance
 the replay window by window, each boundary atomically publishing a new
@@ -314,14 +310,13 @@ Modes (in precedence order):
                  SIGINT; a streaming source ingests all windows
                  concurrently, rotating snapshots as readers query
   (neither)      pipe mode: one session over stdin/stdout (the
-                 deterministic test transport); SIGINT or EOF drains
-                 in-flight batches and writes a final checkpoint
+                 deterministic test transport); SIGINT or EOF ends
+                 the session and writes a final checkpoint
 
 USAGE:
   casbn serve (--in FILE | --preset yng|mid|unt|cre [--scale F] [--samples N])
-              [--script FILE] [--listen ADDR] [--threads N] [--batch N]
-              [--checkpoint FILE] [--expect-checksum N] [--io-retries N]
-              [--metrics FILE|-]
+              [--script FILE] [--listen ADDR] [--checkpoint FILE]
+              [--expect-checksum N] [--io-retries N] [--metrics FILE|-]
 
 FLAGS:
   --in         a .csbn container (a graph section serves static, a
@@ -334,8 +329,6 @@ FLAGS:
                cluster G | rho U V | enrich G G… | stats | ingest N;
                `#` comments and blank lines are skipped
   --listen     TCP listen address, e.g. 127.0.0.1:7878
-  --threads    worker threads per batch dispatch (default 1)
-  --batch      queries buffered per dispatch, 1..=16 (default 16)
   --checkpoint durable .csbn checkpoint FILE: written after every
                ingested window and at shutdown (atomic replace first,
                then appended in place as durable generations);
@@ -346,8 +339,8 @@ FLAGS:
                the response bytes matches N — the CI serve-smoke gate
   --io-retries transient I/O retry budget per write (default 4)
   --metrics    write the run's telemetry snapshot (serve.requests,
-               serve.batch_size, serve.snapshot_rotations, per-query
-               sim-cost counters) to FILE as JSON, `-` for stderr table
+               serve.snapshot_rotations, per-query sim-cost counters)
+               to FILE as JSON, `-` for stderr table
 
 Exit codes: 0 ok, 1 checksum mismatch, 2 usage/configuration error.
 ";
@@ -1174,8 +1167,6 @@ pub fn serve(argv: &[String]) -> i32 {
                 "samples",
                 "script",
                 "listen",
-                "threads",
-                "batch",
                 "checkpoint",
                 "expect-checksum",
                 "io-retries",
@@ -1185,17 +1176,6 @@ pub fn serve(argv: &[String]) -> i32 {
         )?;
         let metrics = metrics_begin(&args);
         let policy = RetryPolicy::new(args.get_or("io-retries", 4)?);
-        let threads: usize = args.get_or("threads", 1)?;
-        let batch: usize = args.get_or("batch", BATCH_MAX)?;
-        if threads == 0 || batch == 0 || batch > BATCH_MAX {
-            return Err(format!(
-                "need --threads > 0 and 1 <= --batch <= {BATCH_MAX}"
-            ));
-        }
-        let cfg = SessionConfig {
-            threads,
-            batch_max: batch,
-        };
         if args.get("expect-checksum").is_some() && args.get("script").is_none() {
             return Err("--expect-checksum gates a --script run".into());
         }
@@ -1305,8 +1285,8 @@ pub fn serve(argv: &[String]) -> i32 {
             // serve-smoke gate and the determinism suite replay
             let text = std::fs::read_to_string(path).map_err(|e| format!("open {path}: {e}"))?;
             let script = parse_script(&text).map_err(|e| format!("{path}: {e}"))?;
-            let (report, _) = run_script(&mut engine, &script, &cfg)
-                .map_err(|e| format!("script session: {e}"))?;
+            let (report, _) =
+                run_script(&mut engine, &script).map_err(|e| format!("script session: {e}"))?;
             engine.final_checkpoint()?;
             println!(
                 "responses {} checksum {}",
@@ -1343,7 +1323,7 @@ pub fn serve(argv: &[String]) -> i32 {
                     engine.final_checkpoint()?;
                     Ok(())
                 });
-                let sessions = serve_tcp(registry, listener, &cfg, shutdown_flag())
+                let sessions = serve_tcp(registry, listener, &SessionConfig, shutdown_flag())
                     .map_err(|e| format!("serve: {e}"))?;
                 writer.join().expect("writer thread panicked")?;
                 Ok(sessions)
@@ -1354,19 +1334,12 @@ pub fn serve(argv: &[String]) -> i32 {
             install_sigint_handler();
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            let report = serve_session(
-                &mut engine,
-                stdin.lock(),
-                stdout.lock(),
-                &cfg,
-                shutdown_flag(),
-            )
-            .map_err(|e| format!("session: {e}"))?;
+            let report = serve_session(&mut engine, stdin.lock(), stdout.lock(), shutdown_flag())
+                .map_err(|e| format!("session: {e}"))?;
             engine.final_checkpoint()?;
             eprintln!(
-                "session over: {} request(s) in {} batch(es), checksum {}{}",
+                "session over: {} request(s), checksum {}{}",
                 report.requests,
-                report.batches,
                 report.responses_checksum,
                 if report.drained_on_shutdown {
                     " (drained on shutdown)"
@@ -1562,8 +1535,6 @@ pub fn fuzz_argv_check(argv: &[String]) -> Result<(), String> {
                 "samples",
                 "script",
                 "listen",
-                "threads",
-                "batch",
                 "checkpoint",
                 "expect-checksum",
                 "io-retries",
@@ -1589,7 +1560,7 @@ pub fn fuzz_argv_check(argv: &[String]) -> Result<(), String> {
         let _: f64 = args.get_or(key, 0.0)?;
     }
     for key in [
-        "ranks", "repeats", "min-size", "samples", "batch", "windows", "threads",
+        "ranks", "repeats", "min-size", "samples", "batch", "windows",
     ] {
         let _: usize = args.get_or(key, 1)?;
     }

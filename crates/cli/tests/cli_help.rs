@@ -46,7 +46,6 @@ const PARSED_FLAGS: &[&str] = &[
     "--metrics",
     "--script",
     "--listen",
-    "--threads",
 ];
 
 /// The `bench` flags, also documented in the subcommand's own help.
@@ -93,8 +92,6 @@ const SERVE_FLAGS: &[&str] = &[
     "--samples",
     "--script",
     "--listen",
-    "--threads",
-    "--batch",
     "--checkpoint",
     "--expect-checksum",
     "--io-retries",

@@ -12,15 +12,13 @@
 //! * [`snapshot`] — immutable [`ServeSnapshot`]s (graph + clusters +
 //!   membership/rho/enrichment indices) and the [`SnapshotRegistry`]
 //!   rotation point.
-//! * [`batch`] — the batched execution core: 8–16 decoded queries per
-//!   dispatch onto a worker pool, byte-deterministic for any worker
-//!   count.
 //! * [`engine`] — the writer side: [`ServeEngine`] advances a
 //!   [`casbn_stream::StreamDriver`] window by window, publishing a
 //!   snapshot rotation and a durable checkpoint at every boundary.
-//! * [`server`] — session loops: stdin/stdout pipe mode, the scripted
-//!   deterministic client ([`run_script`]), a TCP listener, and
-//!   graceful SIGINT/EOF drain.
+//! * [`server`] — session loops that answer each query as it arrives:
+//!   stdin/stdout pipe mode, the scripted deterministic client
+//!   ([`run_script`]), a TCP listener with one thread per connection,
+//!   and graceful SIGINT/EOF shutdown.
 //!
 //! Concurrency model: readers clone `Arc<ServeSnapshot>` handles from
 //! the registry and never block the writer; the writer publishes whole
@@ -29,13 +27,11 @@
 //! state to observe, which the rotation test suite proves against a
 //! single-threaded oracle.
 
-pub mod batch;
 pub mod engine;
 pub mod protocol;
 pub mod server;
 pub mod snapshot;
 
-pub use batch::{execute_batch, BATCH_MAX, BATCH_MIN};
 pub use engine::{CheckpointSink, ServeEngine};
 pub use protocol::{
     ClusterInfo, EnrichHit, ProtocolError, Request, Response, StatsInfo, MAX_FRAME,

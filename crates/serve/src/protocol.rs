@@ -136,7 +136,7 @@ pub enum Request {
     /// Snapshot-level statistics.
     Stats,
     /// Advance the stream by up to `windows` windows (writer sessions
-    /// only; acts as a batch barrier).
+    /// only; later queries see the snapshots it publishes).
     Ingest {
         /// Windows to ingest.
         windows: u32,

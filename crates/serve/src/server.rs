@@ -1,21 +1,21 @@
 //! Session loops: pipe mode, the scripted client, and the TCP listener.
 //!
-//! A **session** reads request frames, groups read-only queries into
-//! batches of up to [`BATCH_MAX`], and writes
-//! response frames in request order. `Ingest` requests are barriers:
-//! the pending batch flushes against the pre-ingest snapshot, the
-//! engine advances (publishing rotations), and later queries see the
-//! new snapshot. EOF and the shutdown flag both **drain**: every
-//! buffered query is answered before the session returns, so no
+//! A **session** reads request frames and answers each one as it
+//! arrives: it decodes the request, answers it with
+//! [`ServeSnapshot::answer`](crate::ServeSnapshot::answer) against the
+//! snapshot current at that moment, writes the response frame and
+//! flushes. `Ingest` requests advance the engine (publishing rotations)
+//! before the next request is read, so later queries see the new
+//! snapshot. EOF and the shutdown flag both end the session at a frame
+//! boundary; every request read before then has been answered, so no
 //! accepted request is ever dropped.
 //!
 //! Pipe mode (`stdin`/`stdout`) is the deterministic test surface: a
-//! session over the same input bytes produces the same output bytes for
-//! any worker count. The TCP listener serves concurrent read-only
-//! sessions against the shared [`SnapshotRegistry`]; only the process
-//! that owns the [`ServeEngine`] may ingest.
+//! session over the same input bytes produces the same output bytes.
+//! The TCP listener serves concurrent read-only sessions, one thread
+//! per connection, against the shared [`SnapshotRegistry`]; only the
+//! process that owns the [`ServeEngine`] may ingest.
 
-use crate::batch::{execute_batch, BATCH_MAX};
 use crate::engine::ServeEngine;
 use crate::protocol::{
     read_frame, ProtocolError, Request, Response, ERR_ENGINE, ERR_PROTOCOL, ERR_READ_ONLY,
@@ -27,32 +27,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Session tuning knobs.
-#[derive(Clone, Debug)]
-pub struct SessionConfig {
-    /// Worker threads per batch dispatch (1 = sequential).
-    pub threads: usize,
-    /// Queries buffered before a dispatch (clamped to
-    /// 1..=[`BATCH_MAX`]).
-    pub batch_max: usize,
-}
-
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig {
-            threads: 1,
-            batch_max: BATCH_MAX,
-        }
-    }
-}
+/// Session settings. It holds none: every session answers each query
+/// as it arrives.
+#[derive(Clone, Debug, Default)]
+pub struct SessionConfig;
 
 /// What a finished session did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionReport {
     /// Requests decoded and answered.
     pub requests: u64,
-    /// Batch dispatches performed.
-    pub batches: u64,
     /// FNV-1a checksum over every response frame byte, in order — the
     /// value the pinned-script gates compare.
     pub responses_checksum: u64,
@@ -77,16 +61,16 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// A writer session: the full protocol including ingest, against the
 /// engine's registry. Returns when the input reaches EOF, the shutdown
 /// flag is observed, or the request stream turns malformed (a typed
-/// error response is sent first); in every case in-flight queries are
-/// drained and answered.
+/// error response is sent first); every request read before then has
+/// been answered.
 pub fn serve_session<R: Read, W: Write>(
     engine: &mut ServeEngine,
     input: R,
     output: W,
-    cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<SessionReport, ProtocolError> {
-    session_loop(Some(engine), None, input, output, cfg, shutdown)
+    let registry = engine.registry();
+    session_loop(Some(engine), &registry, input, output, shutdown)
 }
 
 /// A read-only session against a registry (TCP connections use this):
@@ -95,72 +79,41 @@ pub fn serve_readonly_session<R: Read, W: Write>(
     registry: &SnapshotRegistry,
     input: R,
     output: W,
-    cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<SessionReport, ProtocolError> {
-    session_loop(None, Some(registry), input, output, cfg, shutdown)
+    session_loop(None, registry, input, output, shutdown)
 }
 
 fn session_loop<R: Read, W: Write>(
     mut engine: Option<&mut ServeEngine>,
-    registry: Option<&SnapshotRegistry>,
+    registry: &SnapshotRegistry,
     mut input: R,
     mut output: W,
-    cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<SessionReport, ProtocolError> {
-    let batch_cap = cfg.batch_max.clamp(1, BATCH_MAX);
-    let mut report = SessionReport::default();
-    let mut pending: Vec<Request> = Vec::with_capacity(batch_cap);
-
-    let flush = |pending: &mut Vec<Request>,
-                 output: &mut W,
-                 report: &mut SessionReport,
-                 engine: &mut Option<&mut ServeEngine>|
-     -> Result<(), ProtocolError> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        // re-acquire per flush so reader sessions observe rotations the
-        // writer published between batches
-        let snap = match (engine.as_deref(), registry) {
-            (Some(e), _) => e.snapshot(),
-            (None, Some(r)) => r.acquire(),
-            (None, None) => unreachable!("session needs an engine or a registry"),
-        };
-        let frames = execute_batch(&snap, pending, cfg.threads);
-        report.batches += 1;
-        report.requests += pending.len() as u64;
-        for f in &frames {
-            report.responses_checksum = fnv1a(report.responses_checksum, f);
-            output
-                .write_all(f)
-                .map_err(|e| ProtocolError::Io(e.to_string()))?;
-        }
-        pending.clear();
-        Ok(())
+    let mut report = SessionReport {
+        responses_checksum: FNV_OFFSET,
+        ..SessionReport::default()
     };
-
-    report.responses_checksum = FNV_OFFSET;
     loop {
         if shutdown.load(Ordering::Relaxed) {
-            flush(&mut pending, &mut output, &mut report, &mut engine)?;
             report.drained_on_shutdown = true;
             break;
         }
-        let payload = match read_frame(&mut input, shutdown) {
-            Ok(Some(p)) => p,
+        let req = match read_frame(&mut input, shutdown) {
+            Ok(Some(payload)) => Request::decode_payload(&payload),
             Ok(None) => {
-                flush(&mut pending, &mut output, &mut report, &mut engine)?;
                 report.drained_on_shutdown = shutdown.load(Ordering::Relaxed);
                 break;
             }
             Err(ProtocolError::Io(e)) => return Err(ProtocolError::Io(e)),
+            Err(e) => Err(e),
+        };
+        let resp = match req {
             Err(e) => {
-                // drain what was accepted, then report the framing error
-                // and end the session: past a malformed frame the stream
-                // has no trustworthy boundaries left
-                flush(&mut pending, &mut output, &mut report, &mut engine)?;
+                // report the framing error and end the session: past a
+                // malformed frame the stream has no trustworthy
+                // boundaries left
                 let resp = Response::Error {
                     code: ERR_PROTOCOL,
                     message: e.to_string(),
@@ -168,23 +121,7 @@ fn session_loop<R: Read, W: Write>(
                 write_response(&mut output, &mut report, &resp)?;
                 break;
             }
-        };
-        let req = match Request::decode_payload(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                flush(&mut pending, &mut output, &mut report, &mut engine)?;
-                let resp = Response::Error {
-                    code: ERR_PROTOCOL,
-                    message: e.to_string(),
-                };
-                write_response(&mut output, &mut report, &resp)?;
-                break;
-            }
-        };
-        if let Request::Ingest { windows } = req {
-            // barrier: answer everything before the boundary first
-            flush(&mut pending, &mut output, &mut report, &mut engine)?;
-            let resp = match &mut engine {
+            Ok(Request::Ingest { windows }) => match &mut engine {
                 None => Response::Error {
                     code: ERR_READ_ONLY,
                     message: "ingest requires a writer session".into(),
@@ -203,21 +140,21 @@ fn session_loop<R: Read, W: Write>(
                         message: msg,
                     },
                 },
-            };
-            write_response(&mut output, &mut report, &resp)?;
-            continue;
-        }
-        pending.push(req);
-        if pending.len() >= batch_cap {
-            flush(&mut pending, &mut output, &mut report, &mut engine)?;
-        }
+            },
+            Ok(query) => {
+                // acquire per query so reader sessions observe every
+                // rotation the writer has published
+                casbn_obs::counter_inc("serve.requests");
+                registry.acquire().answer(&query)
+            }
+        };
+        write_response(&mut output, &mut report, &resp)?;
     }
-    output
-        .flush()
-        .map_err(|e| ProtocolError::Io(e.to_string()))?;
     Ok(report)
 }
 
+/// Write one response frame, fold it into the report, and flush so the
+/// client sees it before the session blocks on the next read.
 fn write_response<W: Write>(
     output: &mut W,
     report: &mut SessionReport,
@@ -228,6 +165,7 @@ fn write_response<W: Write>(
     report.responses_checksum = fnv1a(report.responses_checksum, &frame);
     output
         .write_all(&frame)
+        .and_then(|()| output.flush())
         .map_err(|e| ProtocolError::Io(e.to_string()))
 }
 
@@ -306,30 +244,24 @@ pub fn script_to_frames(script: &[Request]) -> Vec<u8> {
 pub fn run_script(
     engine: &mut ServeEngine,
     script: &[Request],
-    cfg: &SessionConfig,
 ) -> Result<(SessionReport, Vec<u8>), ProtocolError> {
     let input = script_to_frames(script);
     let mut output = Vec::new();
     let shutdown = AtomicBool::new(false);
-    let report = serve_session(
-        engine,
-        std::io::Cursor::new(input),
-        &mut output,
-        cfg,
-        &shutdown,
-    )?;
+    let report = serve_session(engine, input.as_slice(), &mut output, &shutdown)?;
     Ok((report, output))
 }
 
 /// Run the TCP listener until `shutdown` fires: each accepted
 /// connection is a read-only session on its own thread against the
 /// shared registry. Returns the number of sessions served. Connections
-/// poll with a read timeout so a blocked session observes shutdown,
-/// drains, and exits.
+/// poll with a read timeout so a blocked session observes shutdown and
+/// exits, and disable Nagle's algorithm so each response frame leaves
+/// as soon as it is written. `_cfg` carries no settings.
 pub fn serve_tcp(
     registry: Arc<SnapshotRegistry>,
     listener: TcpListener,
-    cfg: &SessionConfig,
+    _cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<u64, ProtocolError> {
     listener
@@ -345,14 +277,14 @@ pub fn serve_tcp(
                 Ok((stream, _peer)) => {
                     sessions.fetch_add(1, Ordering::Relaxed);
                     let registry = registry.clone();
-                    let cfg = cfg.clone();
                     scope.spawn(move || {
                         let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+                        let _ = stream.set_nodelay(true);
                         let mut out = match stream.try_clone() {
                             Ok(s) => s,
                             Err(_) => return,
                         };
-                        let _ = serve_readonly_session(&registry, stream, &mut out, &cfg, shutdown);
+                        let _ = serve_readonly_session(&registry, stream, &mut out, shutdown);
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -377,9 +309,9 @@ pub fn shutdown_flag() -> &'static AtomicBool {
 }
 
 /// Install a SIGINT handler that raises [`shutdown_flag`]. Sessions
-/// observe the flag at frame boundaries (and at read timeouts on TCP),
-/// drain their in-flight batches, and return so the host can write the
-/// final durable checkpoint. Returns whether the handler installed (a
+/// observe the flag at frame boundaries (and at read timeouts on TCP)
+/// and return, every request read so far answered, so the host can
+/// write the final durable checkpoint. Returns whether the handler installed (a
 /// no-op returning `false` on non-Unix platforms).
 pub fn install_sigint_handler() -> bool {
     #[cfg(unix)]
@@ -431,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn session_answers_in_request_order_across_batches_and_barriers() {
+    fn session_answers_in_request_order_across_ingest_barriers() {
         let mut eng = engine();
         let script = vec![
             Request::Stats,
@@ -441,7 +373,7 @@ mod tests {
             Request::Ingest { windows: 1 },
             Request::Stats,
         ];
-        let (report, bytes) = run_script(&mut eng, &script, &SessionConfig::default()).unwrap();
+        let (report, bytes) = run_script(&mut eng, &script).unwrap();
         assert_eq!(report.requests, 6);
         assert!(!report.drained_on_shutdown);
         // decode responses back and check the epochs advance across barriers
@@ -460,21 +392,14 @@ mod tests {
     }
 
     #[test]
-    fn malformed_stream_drains_then_reports_typed_error() {
+    fn malformed_stream_answers_then_reports_typed_error() {
         let mut eng = engine();
         let mut input = Request::Stats.encode_frame();
         input.extend_from_slice(&[0xFF, 0xFF]); // torn frame header
         let mut output = Vec::new();
         let shutdown = AtomicBool::new(false);
-        let report = serve_session(
-            &mut eng,
-            std::io::Cursor::new(input),
-            &mut output,
-            &SessionConfig::default(),
-            &shutdown,
-        )
-        .unwrap();
-        assert_eq!(report.requests, 2, "drained query + error response");
+        let report = serve_session(&mut eng, input.as_slice(), &mut output, &shutdown).unwrap();
+        assert_eq!(report.requests, 2, "answered query + error response");
         let (p1, rest) = crate::protocol::split_frame(&output).unwrap().unwrap();
         assert!(matches!(
             Response::decode_payload(p1).unwrap(),
@@ -489,11 +414,11 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_flag_drains_pending_queries() {
+    fn shutdown_flag_ends_session_with_every_read_query_answered() {
         let mut eng = engine();
         // a reader that yields one frame, then raises the shutdown flag
         // the moment the session blocks waiting for more input —
-        // modelling SIGINT arriving while a query sits buffered
+        // modelling SIGINT arriving while the client is idle
         struct OneFrameThenShutdown {
             data: Vec<u8>,
             pos: usize,
@@ -519,16 +444,12 @@ mod tests {
             shutdown: shutdown.clone(),
         };
         let mut output = Vec::new();
-        let report = serve_session(
-            &mut eng,
-            input,
-            &mut output,
-            &SessionConfig::default(),
-            &shutdown,
-        )
-        .unwrap();
+        let report = serve_session(&mut eng, input, &mut output, &shutdown).unwrap();
         assert!(report.drained_on_shutdown);
-        assert_eq!(report.requests, 1, "the buffered query was answered");
+        assert_eq!(
+            report.requests, 1,
+            "the query read before shutdown was answered"
+        );
     }
 
     #[test]
@@ -541,9 +462,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
         let reg = registry.clone();
-        let cfg = SessionConfig::default();
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp(reg, listener, &cfg, &shutdown));
+            let server = scope.spawn(|| serve_tcp(reg, listener, &SessionConfig, &shutdown));
             let mut conn = std::net::TcpStream::connect(addr).unwrap();
             let mut frames = Request::Stats.encode_frame();
             frames.extend_from_slice(&Request::Ingest { windows: 1 }.encode_frame());
@@ -564,6 +484,38 @@ mod tests {
             shutdown.store(true, Ordering::Relaxed);
             let served = server.join().unwrap().unwrap();
             assert_eq!(served, 1);
+        });
+    }
+
+    #[test]
+    fn tcp_lone_query_is_answered_while_the_client_keeps_writing() {
+        let mut eng = engine();
+        eng.ingest_windows(1).unwrap();
+        let registry = eng.registry();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_tcp(registry, listener, &SessionConfig, &shutdown));
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+            // one query, write side left open: nothing else will arrive
+            conn.write_all(&Request::Stats.encode_frame()).unwrap();
+            let mut header = [0u8; 4];
+            let answered = conn.read_exact(&mut header);
+            let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
+            let answered = answered.and_then(|()| conn.read_exact(&mut payload));
+            shutdown.store(true, Ordering::Relaxed);
+            assert!(
+                answered.is_ok(),
+                "lone query unanswered after 1 s: {answered:?}"
+            );
+            match Response::decode_payload(&payload).unwrap() {
+                Response::Stats(s) => assert_eq!(s.epoch, 1),
+                other => panic!("unexpected {other:?}"),
+            }
+            drop(conn);
+            assert_eq!(server.join().unwrap().unwrap(), 1);
         });
     }
 }

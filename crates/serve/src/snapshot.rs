@@ -8,7 +8,7 @@
 //! through [`SnapshotRegistry::publish`], which swaps an
 //! `Arc<ServeSnapshot>` under a lock — readers that already hold an
 //! `Arc` keep their old snapshot alive for as long as they need it, so
-//! rotation never blocks or invalidates an in-flight batch.
+//! rotation never blocks or invalidates an in-flight query.
 
 use crate::protocol::{
     ClusterInfo, EnrichHit, Request, Response, StatsInfo, ERR_BAD_GENE, ERR_READ_ONLY,
@@ -195,9 +195,9 @@ impl ServeSnapshot {
     }
 
     /// Answer one read-only query. A pure function of `(self, req)` —
-    /// this is what makes batched responses byte-deterministic under
-    /// any worker count. `Ingest` requests answer [`ERR_READ_ONLY`];
-    /// the engine intercepts them before batching in writer sessions.
+    /// this is what makes session responses byte-deterministic.
+    /// `Ingest` requests answer [`ERR_READ_ONLY`]; writer sessions
+    /// route them to the engine instead.
     pub fn answer(&self, req: &Request) -> Response {
         let n = self.network.n() as u32;
         let bad_gene = |g: u32| Response::Error {

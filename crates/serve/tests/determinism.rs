@@ -1,12 +1,13 @@
 //! Acceptance gate: a pinned query script replayed against a pinned
-//! artifact yields byte-identical responses at 1/2/4/8 worker threads.
+//! artifact yields byte-identical responses on every replay, with a
+//! pinned response checksum.
 
 use casbn_expr::DatasetPreset;
-use casbn_serve::{parse_script, run_script, ServeEngine, SessionConfig};
+use casbn_serve::{parse_script, run_script, ServeEngine};
 use casbn_stream::{synthesize_replay, StreamConfig};
 
-/// The pinned script: every query kind, ingest barriers between
-/// batches, deliberately unbatchable tail sizes.
+/// The pinned script: every query kind, with ingest requests between
+/// runs of queries of uneven length.
 const SCRIPT: &str = "
 stats
 ingest 1
@@ -30,53 +31,21 @@ neigh 4
 cluster 4
 ";
 
+/// FNV-1a checksum of the script's response bytes.
+const PINNED_CHECKSUM: u64 = 3_724_272_230_277_752_947;
+
 fn fresh_engine() -> ServeEngine {
     let replay = synthesize_replay(DatasetPreset::Yng, 0.02, Some(8));
     ServeEngine::from_replay(replay, StreamConfig::default())
 }
 
 #[test]
-fn pinned_script_is_byte_identical_across_worker_counts() {
+fn pinned_script_is_byte_identical_across_replays() {
     let script = parse_script(SCRIPT).unwrap();
-    let mut baseline = None;
-    for threads in [1usize, 2, 4, 8] {
-        let mut engine = fresh_engine();
-        let cfg = SessionConfig {
-            threads,
-            ..SessionConfig::default()
-        };
-        let (report, bytes) = run_script(&mut engine, &script, &cfg).unwrap();
-        assert_eq!(report.requests, script.len() as u64);
-        match &baseline {
-            None => baseline = Some((report.responses_checksum, bytes)),
-            Some((checksum, base_bytes)) => {
-                assert_eq!(
-                    report.responses_checksum, *checksum,
-                    "checksum diverged at {threads} threads"
-                );
-                assert_eq!(&bytes, base_bytes, "bytes diverged at {threads} threads");
-            }
-        }
-    }
-}
-
-#[test]
-fn smaller_batch_caps_change_batching_not_bytes() {
-    let script = parse_script(SCRIPT).unwrap();
-    let reference = {
-        let mut engine = fresh_engine();
-        run_script(&mut engine, &script, &SessionConfig::default())
-            .unwrap()
-            .1
-    };
-    for batch_max in [1usize, 3, 8] {
-        let mut engine = fresh_engine();
-        let cfg = SessionConfig {
-            threads: 4,
-            batch_max,
-        };
-        let (report, bytes) = run_script(&mut engine, &script, &cfg).unwrap();
-        assert_eq!(bytes, reference, "batch cap {batch_max} changed bytes");
-        assert!(report.batches >= 3);
-    }
+    let (first, first_bytes) = run_script(&mut fresh_engine(), &script).unwrap();
+    let (second, second_bytes) = run_script(&mut fresh_engine(), &script).unwrap();
+    assert_eq!(first.requests, script.len() as u64);
+    assert_eq!(first, second);
+    assert_eq!(first_bytes, second_bytes);
+    assert_eq!(first.responses_checksum, PINNED_CHECKSUM);
 }

@@ -27,8 +27,9 @@ fn main() {
     let held = registry.acquire();
 
     // The scripted client the CLI's `casbn serve --script FILE` mode
-    // runs: text requests in, deterministic response bytes out. `ingest`
-    // lines are barriers — the stream advances one window per rotation.
+    // runs: text requests in, deterministic response bytes out. Each
+    // `ingest` line advances the stream, one rotation per window, before
+    // the next query is answered.
     let script = parse_script(
         "stats\n\
          neigh 0\n\
@@ -41,11 +42,10 @@ fn main() {
          stats\n",
     )
     .expect("script parses");
-    let (report, bytes) =
-        run_script(&mut engine, &script, &SessionConfig::default()).expect("script replays");
+    let (report, bytes) = run_script(&mut engine, &script).expect("script replays");
     println!(
-        "{} requests in {} batches, response checksum {}",
-        report.requests, report.batches, report.responses_checksum
+        "{} requests, response checksum {}",
+        report.requests, report.responses_checksum
     );
 
     // Walk the response frames back out of the byte stream.

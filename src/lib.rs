@@ -28,9 +28,10 @@
 //!   RAII spans with a deterministic-vs-wall field split, and versioned
 //!   JSON metric snapshots (surfaced as `casbn <cmd> --metrics`).
 //! * [`serve`] — the resident query daemon: immutable serving
-//!   snapshots with rho/membership/enrichment indices, a batched
-//!   execution core, a length-prefixed request/response protocol, and
-//!   snapshot rotation under concurrent stream ingest (`casbn serve`).
+//!   snapshots with rho/membership/enrichment indices, sessions that
+//!   answer each query as it arrives, a length-prefixed
+//!   request/response protocol, and snapshot rotation under concurrent
+//!   stream ingest (`casbn serve`).
 //!
 //! ## Quickstart
 //!
