@@ -35,8 +35,8 @@
 //! Every neighbourhood intersection, BFS step and rebuild op is charged
 //! to a [`casbn_distsim`] LogP clock, so the simulated cost of
 //! maintenance is directly comparable against a from-scratch
-//! tiled-Pearson + DSW recompute (the streaming perf-baseline workloads
-//! record both).
+//! all-pairs Pearson + DSW recompute charged on the same clock (the
+//! streaming perf-baseline workloads record both).
 
 use casbn_chordal::{
     maximal_chordal_subgraph_with, ChordalConfig, ChordalResult, DswScratch, WorkCounter,

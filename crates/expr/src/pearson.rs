@@ -1,10 +1,49 @@
 //! All-pairs Pearson correlation with significance thresholding — the
-//! correlation-network construction of §IV-A.
+//! correlation-network construction of §IV-A — computed by one exact,
+//! pruned kernel.
+//!
+//! # Why pruning is exact
+//!
+//! After z-scoring, a row `z` over `n` samples has `‖z‖² = n` and
+//! `ρ(i, j) = zᵢ·zⱼ / n`, so `ρ ≥ c` is the fixed-radius condition
+//! `‖zᵢ − zⱼ‖² = 2n(1 − ρ) ≤ 2n(1 − c)`. Every orthogonal projection is
+//! 1-Lipschitz: each projected coordinate gap of such a pair is within
+//! that radius too. A pair whose gap exceeds it on any coordinate cannot
+//! be retained, and is never scored.
+//!
+//! [`CorrelationNetwork::from_expression`] projects each standardized
+//! row onto the first 8 vectors of the orthonormal Helmert basis of the
+//! centred subspace, with `r` as the radius. It groups the projections
+//! into cubic cells of side `r` on coordinates 0–2, orders each cell by
+//! coordinate 3, and walks only the pairs in the same or a neighbouring
+//! cell that lie within `r` on coordinate 3. A branch-free check then
+//! drops every pair with any kept coordinate gap above `r`. Survivors
+//! are scored by the same `rho_of` and retention predicate as the
+//! sequential reference, so their `ρ` bits are the reference's.
+//!
+//! The radius carries a rounding slack: `r² = 2n(1 − c) + 10⁻⁶·n`.
+//! Floating-point evaluation can put a retained pair's true distance
+//! above `2n(1 − c)` by at most `n·(3·10⁻⁹ + 3γₙ)` (norm certificate,
+//! dot-product and scaling rounding; `γₙ ≈ n·2⁻⁵³`), far below the slack
+//! for any `n ≤ 2²⁰`. What is left of the slack, a relative margin of at
+//! least `2·10⁻⁷` on `r`, absorbs the rounding of the projections (at
+//! most 9 terms each), of the cell assignment and of every gap
+//! comparison.
+//!
+//! The bound needs `‖z‖² = n`. A row enters the index only when its
+//! standardized values are all finite and its computed squared norm is
+//! within `10⁻⁹·n` of `n`. Every other row (zero variance, NaN or ±∞
+//! input, variance overflow) is scored against all genes. So is every
+//! row when `c ∉ (0, 1]` (the bound prunes nothing at `c ≤ 0`) or when
+//! `n ∉ 2..=2²⁰`. The output is therefore bit-identical to
+//! [`CorrelationNetwork::from_expression_seq`] for every matrix and
+//! every [`NetworkParams`].
 
 use crate::matrix::ExpressionMatrix;
 use casbn_graph::{Edge, Graph};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Thresholds for network construction. Defaults are the paper's:
 /// `0.95 ≤ ρ ≤ 1.00`, `p ≤ 0.0005`.
@@ -36,16 +75,30 @@ pub struct CorrelationNetwork {
     pub weights: Vec<(Edge, f64)>,
 }
 
-/// Gene-block width of the tiled parallel kernel. 128 standardized rows of
-/// a typical (≤ 32-sample) array fit comfortably in L2, so a 128×128 tile
-/// streams each row once per tile instead of once per pair.
-const DEFAULT_TILE: usize = 128;
+/// Helmert coordinates kept per indexed row. The paper's arrays have 8
+/// and 9 samples, so 8 coordinates span their whole centred subspace.
+const COORDS: usize = 8;
 
-/// Retained `(edge, ρ)` entries of one gene×gene tile, sorted by edge.
-type TileChunk = Vec<(Edge, f64)>;
+/// Rounding slack added to `r²`, per sample (see the module docs).
+const SLACK: f64 = 1e-6;
+
+/// Relative tolerance of the `‖z‖² = n` certificate.
+const NORM_TOL: f64 = 1e-9;
+
+/// Largest sample count the slack is proven for.
+const MAX_SAMPLES: usize = 1 << 20;
+
+/// Coordinates the index grids on; the next one orders each cell.
+const GRID: usize = 3;
+
+/// Candidates whose gaps one branch-free sweep checks.
+const CHUNK: usize = 8;
+
+/// Index positions per parallel task.
+const TASK_ROWS: usize = 64;
 
 /// `ρ` of the standardized rows `i` and `j` — the **single** dot-product
-/// expression shared by the sequential and tiled paths, so both produce
+/// expression shared by the sequential and pruned paths, so both produce
 /// bit-identical coefficients.
 #[inline]
 fn rho_of(z: &ExpressionMatrix, i: usize, j: usize, inv: f64) -> f64 {
@@ -57,39 +110,272 @@ fn rho_of(z: &ExpressionMatrix, i: usize, j: usize, inv: f64) -> f64 {
         * inv
 }
 
-/// Row-block index `bi` of the `t`-th tile when the upper-triangular tile
-/// pairs `(bi, bj)`, `bj ≥ bi`, are enumerated lexicographically.
+/// The retention predicate shared by both paths.
 #[inline]
-fn tile_coords(t: usize, nblocks: usize) -> (usize, usize) {
-    let mut bi = 0usize;
-    let mut offset = 0usize;
-    while offset + (nblocks - bi) <= t {
-        offset += nblocks - bi;
-        bi += 1;
-    }
-    (bi, bi + (t - offset))
+fn retained(rho: f64, params: NetworkParams, samples: usize) -> bool {
+    rho >= params.min_rho && pearson_p_value(rho, samples) <= params.max_p
 }
 
-/// First tile index of row-block `bi` in the lexicographic enumeration.
-#[inline]
-fn tile_row_offset(bi: usize, nblocks: usize) -> usize {
-    bi * (2 * nblocks - bi + 1) / 2
+/// First [`COORDS`] coordinates of `row` in the orthonormal Helmert basis
+/// `hₖ = (1, …, 1, −k, 0, …) / √(k(k+1))` (`k` ones), zero-padded when
+/// the row is shorter.
+fn helmert(row: &[f64]) -> [f64; COORDS] {
+    let mut p = [0.0; COORDS];
+    let Some((&first, rest)) = row.split_first() else {
+        return p;
+    };
+    let mut prefix = first;
+    for (k, (&x, pk)) in rest.iter().zip(&mut p).enumerate() {
+        let k = (k + 1) as f64;
+        *pk = (prefix - k * x) / (k * (k + 1.0)).sqrt();
+        prefix += x;
+    }
+    p
+}
+
+/// Whether a standardized row certifies `‖z‖² = n` (module docs).
+fn certified(row: &[f64]) -> bool {
+    let n = row.len() as f64;
+    row.iter().all(|x| x.is_finite())
+        && (row.iter().map(|x| x * x).sum::<f64>() - n).abs() <= NORM_TOL * n
+}
+
+/// The pruning index: certified rows' projections, grouped into cubic
+/// cells of side `r` on the first [`GRID`] coordinates (cells in
+/// lexicographic order, laid out contiguously) and sorted by coordinate
+/// `GRID` inside each cell.
+struct Index {
+    /// Pruning radius.
+    r: f64,
+    /// Indexed rows.
+    len: usize,
+    /// Projections, coordinate-major: coordinate `k` of index position
+    /// `p` is `cols[k * (len + CHUNK) + p]`. Each column ends in `CHUNK`
+    /// zeros, so a sweep may always read a whole chunk.
+    cols: Vec<f64>,
+    /// Gene of each index position.
+    gene: Vec<u32>,
+    /// `(cell, first position)` of each non-empty cell, ascending, then a
+    /// `([i32::MAX; GRID], len)` sentinel.
+    cells: Vec<([i32; GRID], usize)>,
+}
+
+impl Index {
+    /// Index the rows that `is_certified` marks.
+    fn build(z: &ExpressionMatrix, is_certified: &[bool], r: f64) -> Index {
+        // |p| ≤ √(1.01·n) and r ≥ √(10⁻⁶·n), so a cell index is at most
+        // ~1000 in magnitude
+        let cell = |p: &[f64; COORDS]| -> [i32; GRID] {
+            std::array::from_fn(|k| (p[k] / r).floor() as i32)
+        };
+        // the sort key's coordinates only need the first GRID + 2
+        // samples, and come out bit-identical to the full projection's
+        let mut keyed: Vec<([i32; GRID], f64, u32)> = (0..z.genes() as u32)
+            .filter(|&g| is_certified[g as usize])
+            .map(|g| {
+                let row = z.row(g as usize);
+                let p = helmert(&row[..row.len().min(GRID + 2)]);
+                (cell(&p), p[GRID], g)
+            })
+            .collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let gene: Vec<u32> = keyed.into_iter().map(|(_, _, g)| g).collect();
+        let len = gene.len();
+        let mut cols = vec![0.0; COORDS * (len + CHUNK)];
+        let mut cells: Vec<([i32; GRID], usize)> = Vec::new();
+        for (pos, &g) in gene.iter().enumerate() {
+            let p = helmert(z.row(g as usize));
+            for (k, &x) in p.iter().enumerate() {
+                cols[k * (len + CHUNK) + pos] = x;
+            }
+            let c = cell(&p);
+            if cells.last().is_none_or(|&(last, _)| last != c) {
+                cells.push((c, pos));
+            }
+        }
+        cells.push(([i32::MAX; GRID], len));
+        Index {
+            r,
+            len,
+            cols,
+            gene,
+            cells,
+        }
+    }
+
+    /// Coordinate `k` of every index position.
+    #[inline]
+    fn col(&self, k: usize) -> &[f64] {
+        &self.cols[k * (self.len + CHUNK)..(k + 1) * (self.len + CHUNK)]
+    }
+
+    /// Call `visit(i, j)`, `i < j`, once for every pair of indexed genes
+    /// whose earlier index position lies in `from..to`, whose cells
+    /// differ by at most 1 on each grid coordinate, and whose kept
+    /// coordinate gaps are all `≤ r`. Every pair within `r` less the
+    /// rounding margin (module docs) is among them.
+    ///
+    /// The later position of such a pair sits further along its own cell
+    /// or in a lexicographically later neighbour cell, within `r` on
+    /// coordinate `GRID`, which orders every cell. Those runs are found by
+    /// cursors that only move forward while `a` walks its cell, then
+    /// swept [`CHUNK`] candidates at a time by a branch-free max-gap
+    /// reduction.
+    fn pairs_from(&self, from: usize, to: usize, mut visit: impl FnMut(u32, u32)) {
+        let r = self.r;
+        let sort_key = self.col(GRID);
+        let mut c = self.cells.partition_point(|&(_, start)| start <= from) - 1;
+        // (first, last, cell end) of each candidate run: own cell first,
+        // then the neighbour cells
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for a in from..to {
+            if a == from || self.cells[c + 1].1 <= a {
+                while self.cells[c + 1].1 <= a {
+                    c += 1;
+                }
+                // offsets in {-1, 0, 1}^GRID, lexicographically positive:
+                // the base-3 codes above the all-zero offset's
+                let key = self.cells[c].0;
+                let centre = (3usize.pow(GRID as u32) - 1) / 2;
+                runs.clear();
+                runs.push((a + 1, a + 1, self.cells[c + 1].1));
+                runs.extend((centre + 1..2 * centre + 1).filter_map(|code| {
+                    let probe: [i32; GRID] = std::array::from_fn(|k| {
+                        key[k] + (code / 3usize.pow((GRID - 1 - k) as u32) % 3) as i32 - 1
+                    });
+                    let n = self.cells.binary_search_by_key(&probe, |&(k, _)| k).ok()?;
+                    let start = self.cells[n].1;
+                    Some((start, start, self.cells[n + 1].1))
+                }));
+            }
+            let pa: [f64; COORDS] = std::array::from_fn(|k| self.col(k)[a]);
+            let (lo_v, hi_v) = (pa[GRID] - r, pa[GRID] + r);
+            runs[0].0 = a + 1;
+            for (lo, hi, end) in &mut runs {
+                while *lo < *end && sort_key[*lo] < lo_v {
+                    *lo += 1;
+                }
+                *hi = (*hi).max(*lo);
+                while *hi < *end && sort_key[*hi] <= hi_v {
+                    *hi += 1;
+                }
+            }
+            for &(first, last, _) in &runs {
+                for lo in (first..last).step_by(CHUNK) {
+                    let w = (last - lo).min(CHUNK);
+                    let mut gap = [0.0f64; CHUNK];
+                    for (k, &pk) in pa.iter().enumerate() {
+                        for (g, &x) in gap.iter_mut().zip(&self.col(k)[lo..lo + CHUNK]) {
+                            let d = (pk - x).abs();
+                            *g = if d > *g { d } else { *g };
+                        }
+                    }
+                    for (b, &g) in (lo..).zip(&gap[..w]) {
+                        if g <= r {
+                            let (ga, gb) = (self.gene[a], self.gene[b]);
+                            visit(ga.min(gb), ga.max(gb));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Euclid's algorithm.
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
 }
 
 impl CorrelationNetwork {
-    /// Build the network from an expression matrix. All `O(genes²)` pairs
-    /// are evaluated by the blocked parallel kernel
-    /// ([`CorrelationNetwork::from_expression_tiled`] at the default tile
-    /// width); a pair becomes an edge iff it passes both thresholds.
+    /// Build the network from an expression matrix with the exact pruned
+    /// kernel (module docs): a pair becomes an edge iff it passes both
+    /// thresholds, and only pairs the projection bound cannot rule out
+    /// are scored. The output is bit-identical to
+    /// [`CorrelationNetwork::from_expression_seq`] at any thread count.
+    ///
+    /// Blocks of index positions and the uncertified rows' dense scans
+    /// run in parallel; the few retained edges are then sorted into
+    /// canonical order. Counters: `expr.pairs_scored` (pairs that
+    /// reached the dot product), `expr.edges_retained`, and
+    /// `expr.tile_pairs`, a legacy name for the `genes·(genes−1)/2`
+    /// pairs the network decides.
     pub fn from_expression(m: &ExpressionMatrix, params: NetworkParams) -> Self {
-        Self::from_expression_tiled(m, params, DEFAULT_TILE)
+        let z = m.standardized();
+        let genes = m.genes();
+        let samples = m.samples();
+        let inv = 1.0 / samples as f64;
+        let n = samples as f64;
+        let r2 = 2.0 * n * (1.0 - params.min_rho) + SLACK * n;
+        let prune =
+            params.min_rho > 0.0 && params.min_rho <= 1.0 && (2..=MAX_SAMPLES).contains(&samples);
+        let is_certified: Vec<bool> = (0..genes).map(|g| prune && certified(z.row(g))).collect();
+        let index = Index::build(&z, &is_certified, r2.sqrt());
+        let dense: Vec<u32> = (0..genes as u32)
+            .filter(|&g| !is_certified[g as usize])
+            .collect();
+
+        // tasks: blocks of index positions, then one per dense row —
+        // visited in a coprime-stride order so each thread's contiguous
+        // share mixes dense and sparse cells
+        let blocks = index.len.div_ceil(TASK_ROWS);
+        let tasks = blocks + dense.len();
+        let mut stride = (tasks as f64 * 0.618) as usize | 1;
+        while gcd(stride, tasks) > 1 {
+            stride += 1;
+        }
+        let scored = AtomicU64::new(0);
+        let mut weights: Vec<(Edge, f64)> = (0..tasks)
+            .into_par_iter()
+            .flat_map_iter(|t| {
+                let t = (t as u128 * stride as u128 % tasks as u128) as usize;
+                let mut out = Vec::new();
+                let mut pairs = 0u64;
+                let mut score = |i: u32, j: u32| {
+                    pairs += 1;
+                    let rho = rho_of(&z, i as usize, j as usize, inv);
+                    if retained(rho, params, samples) {
+                        out.push(((i, j), rho));
+                    }
+                };
+                if t < blocks {
+                    let from = t * TASK_ROWS;
+                    index.pairs_from(from, (from + TASK_ROWS).min(index.len), &mut score);
+                } else {
+                    // every pair holding an uncertified gene, once: at
+                    // its smaller uncertified gene
+                    let u = dense[t - blocks];
+                    for j in 0..genes as u32 {
+                        if j > u || (j < u && is_certified[j as usize]) {
+                            score(u.min(j), u.max(j));
+                        }
+                    }
+                }
+                scored.fetch_add(pairs, Ordering::Relaxed);
+                out
+            })
+            .collect();
+        weights.sort_unstable_by_key(|&(e, _)| e);
+
+        casbn_obs::counter_add("expr.pairs_scored", scored.into_inner());
+        casbn_obs::counter_add(
+            "expr.tile_pairs",
+            (genes * genes.saturating_sub(1) / 2) as u64,
+        );
+        casbn_obs::counter_add("expr.edges_retained", weights.len() as u64);
+        Self::from_sorted_weights(genes, weights)
     }
 
     /// Sequential reference implementation: a plain `i < j` double loop in
-    /// canonical edge order. This is the differential-testing oracle — the
-    /// tiled parallel kernel must reproduce its output **bit-identically**
-    /// (same edge list, same order, same `ρ` values) for every tile width
-    /// and thread count.
+    /// canonical edge order that scores every pair. This is the
+    /// differential-testing oracle —
+    /// [`CorrelationNetwork::from_expression`] must reproduce its output
+    /// **bit-identically** (same edge list, same order, same `ρ` values)
+    /// for every input and thread count.
     pub fn from_expression_seq(m: &ExpressionMatrix, params: NetworkParams) -> Self {
         let z = m.standardized();
         let genes = m.genes();
@@ -99,86 +385,11 @@ impl CorrelationNetwork {
         for i in 0..genes {
             for j in (i + 1)..genes {
                 let rho = rho_of(&z, i, j, inv);
-                if rho >= params.min_rho && pearson_p_value(rho, samples) <= params.max_p {
+                if retained(rho, params, samples) {
                     weights.push(((i as u32, j as u32), rho));
                 }
             }
         }
-        Self::from_sorted_weights(genes, weights)
-    }
-
-    /// Blocked parallel kernel with an explicit `tile` width (exposed so
-    /// tests can sweep awkward widths; use
-    /// [`CorrelationNetwork::from_expression`] for the tuned default).
-    ///
-    /// The gene×gene upper triangle is cut into `tile`×`tile` blocks.
-    /// Tiles are evaluated in parallel — each producing a chunk already
-    /// sorted by canonical edge — and the chunks are then merged with a
-    /// cursor walk per row-block (tiles of one row-block cover disjoint,
-    /// ascending column ranges, so the merge is a linear scan, not a
-    /// sort). The merged output is deterministic and identical to
-    /// [`CorrelationNetwork::from_expression_seq`] regardless of thread
-    /// count.
-    pub fn from_expression_tiled(m: &ExpressionMatrix, params: NetworkParams, tile: usize) -> Self {
-        assert!(tile > 0, "tile width must be positive");
-        let z = m.standardized();
-        let genes = m.genes();
-        let samples = m.samples();
-        let inv = 1.0 / samples as f64;
-        let nblocks = genes.div_ceil(tile);
-        let ntiles = nblocks * (nblocks + 1) / 2;
-
-        // phase 1: evaluate tiles in parallel, each chunk sorted by edge
-        let chunks: Vec<TileChunk> = (0..ntiles)
-            .into_par_iter()
-            .map(|t| {
-                let (bi, bj) = tile_coords(t, nblocks);
-                let rows = bi * tile..((bi + 1) * tile).min(genes);
-                let cols_end = ((bj + 1) * tile).min(genes);
-                let mut chunk = TileChunk::new();
-                let mut pairs = 0u64;
-                for i in rows {
-                    let cols_start = (bj * tile).max(i + 1);
-                    for j in cols_start..cols_end {
-                        let rho = rho_of(&z, i, j, inv);
-                        if rho >= params.min_rho && pearson_p_value(rho, samples) <= params.max_p {
-                            chunk.push(((i as u32, j as u32), rho));
-                        }
-                    }
-                    pairs += cols_end.saturating_sub(cols_start) as u64;
-                }
-                // tile totals are a function of the tiling alone, so the
-                // counters are thread-count-invariant
-                casbn_obs::counter_inc("expr.tiles");
-                casbn_obs::counter_add("expr.tile_pairs", pairs);
-                casbn_obs::counter_add("expr.edges_retained", chunk.len() as u64);
-                chunk
-            })
-            .collect();
-
-        // phase 2: merge each row-block's chunks (disjoint ascending
-        // column ranges per row) with cursors — in parallel per row-block
-        let merged: Vec<TileChunk> = (0..nblocks)
-            .into_par_iter()
-            .map(|bi| {
-                let row_tiles = &chunks
-                    [tile_row_offset(bi, nblocks)..tile_row_offset(bi, nblocks) + (nblocks - bi)];
-                let mut cursors = vec![0usize; row_tiles.len()];
-                let mut out = TileChunk::with_capacity(row_tiles.iter().map(Vec::len).sum());
-                for i in (bi * tile) as u32..(((bi + 1) * tile).min(genes)) as u32 {
-                    for (k, t) in row_tiles.iter().enumerate() {
-                        let c = &mut cursors[k];
-                        while *c < t.len() && t[*c].0 .0 == i {
-                            out.push(t[*c]);
-                            *c += 1;
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-
-        let weights: Vec<(Edge, f64)> = merged.into_iter().flatten().collect();
         Self::from_sorted_weights(genes, weights)
     }
 
@@ -310,6 +521,7 @@ fn betacf(a: f64, b: f64, x: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::synthetic::{SyntheticMicroarray, SyntheticParams};
+    use proptest::prelude::*;
 
     #[test]
     fn p_value_limits() {
@@ -426,44 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_kernel_matches_sequential_reference_bitwise() {
-        let arr = SyntheticMicroarray::generate(
-            &SyntheticParams {
-                genes: 301, // deliberately not a multiple of any tile width
-                samples: 12,
-                modules: 6,
-                module_size: 9,
-                loading_sq: 0.97,
-            },
-            17,
-        );
-        let params = NetworkParams {
-            min_rho: 0.8,
-            max_p: 0.01,
-        };
-        let seq = CorrelationNetwork::from_expression_seq(&arr.matrix, params);
-        assert!(seq.graph.m() > 0, "reference network must be non-trivial");
-        for tile in [1, 3, 37, 128, 301, 1000] {
-            let par = CorrelationNetwork::from_expression_tiled(&arr.matrix, params, tile);
-            assert_eq!(
-                par.weights.len(),
-                seq.weights.len(),
-                "tile={tile}: edge count drifted"
-            );
-            for (a, b) in par.weights.iter().zip(&seq.weights) {
-                assert_eq!(a.0, b.0, "tile={tile}: edge order drifted");
-                assert_eq!(
-                    a.1.to_bits(),
-                    b.1.to_bits(),
-                    "tile={tile}: ρ not bit-identical"
-                );
-            }
-            assert!(par.graph.same_edges(&seq.graph));
-        }
-    }
-
-    #[test]
-    fn default_entry_point_is_the_tiled_kernel_output() {
+    fn default_entry_point_matches_sequential_reference() {
         let arr = SyntheticMicroarray::generate(
             &SyntheticParams {
                 genes: 150,
@@ -476,7 +651,51 @@ mod tests {
         );
         let a = CorrelationNetwork::from_expression(&arr.matrix, NetworkParams::default());
         let b = CorrelationNetwork::from_expression_seq(&arr.matrix, NetworkParams::default());
+        assert!(!b.weights.is_empty());
         assert_eq!(a.weights, b.weights);
+    }
+
+    #[test]
+    fn helmert_coordinates_are_orthonormal_projections() {
+        // a centred row keeps its norm over a full Helmert basis
+        let row = [1.5, -0.25, 2.0, -3.25, 0.0, 1.0, -1.0];
+        let p = helmert(&row);
+        let norm2: f64 = row.iter().map(|x| x * x).sum();
+        let proj2: f64 = p.iter().map(|x| x * x).sum();
+        assert!((norm2 - proj2).abs() < 1e-12, "{norm2} vs {proj2}");
+        // a constant row has no centred component
+        assert!(helmert(&[4.0; 9]).iter().all(|&x| x.abs() < 1e-12));
+        // prefixes give bit-identical leading coordinates (the sort key)
+        let full = helmert(&row);
+        assert_eq!(helmert(&row[..4])[..3], full[..3]);
+        assert_eq!(helmert(&[]), [0.0; COORDS]);
+    }
+
+    #[test]
+    fn only_finite_unit_norm_rows_are_certified() {
+        let z = crate::matrix::ExpressionMatrix::from_rows(
+            4,
+            3,
+            vec![
+                1.0,
+                2.0,
+                3.0,
+                5.0,
+                5.0,
+                5.0,
+                1.0,
+                f64::NAN,
+                2.0,
+                1e200,
+                -1e200,
+                0.0,
+            ],
+        )
+        .standardized();
+        assert!(certified(z.row(0)));
+        assert!(!certified(z.row(1)), "zero variance");
+        assert!(!certified(z.row(2)), "NaN input");
+        assert!(!certified(z.row(3)), "variance overflow");
     }
 
     #[test]
@@ -488,25 +707,6 @@ mod tests {
             assert_eq!(net.graph.m(), 0, "genes={genes} samples={samples}");
             let seq = CorrelationNetwork::from_expression_seq(&m, NetworkParams::default());
             assert_eq!(net.weights, seq.weights);
-        }
-    }
-
-    #[test]
-    fn tile_coords_roundtrip() {
-        for nblocks in 1usize..9 {
-            let mut t = 0usize;
-            for bi in 0..nblocks {
-                assert_eq!(
-                    tile_row_offset(bi, nblocks),
-                    t,
-                    "offset bi={bi} nb={nblocks}"
-                );
-                for bj in bi..nblocks {
-                    assert_eq!(tile_coords(t, nblocks), (bi, bj), "nb={nblocks}");
-                    t += 1;
-                }
-            }
-            assert_eq!(t, nblocks * (nblocks + 1) / 2);
         }
     }
 
@@ -536,6 +736,38 @@ mod tests {
             // cross-check against the direct formula
             let direct = arr.matrix.pearson(u as usize, v as usize);
             assert!((rho - direct).abs() < 1e-9);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Small integer-valued matrices are full of ties, constant,
+        /// duplicate and negated rows: exactly where rounding could
+        /// break a pruning bound.
+        #[test]
+        fn pruned_kernel_matches_reference_on_random_inputs(
+            genes in 0usize..48,
+            samples in 0usize..12,
+            raw in proptest::collection::vec(-6i64..7, 1..64),
+            rho_pick in 0usize..7,
+            p_pick in 0usize..3,
+        ) {
+            let data: Vec<f64> = (0..genes * samples)
+                .map(|i| raw[(i * 7 + i / raw.len()) % raw.len()] as f64)
+                .collect();
+            let m = crate::matrix::ExpressionMatrix::from_rows(genes, samples, data);
+            let params = NetworkParams {
+                min_rho: [-0.5, 0.0, 0.3, 0.8, 0.95, 1.0, 0.999][rho_pick],
+                max_p: [1.0, 0.05, 0.0005][p_pick],
+            };
+            let par = CorrelationNetwork::from_expression(&m, params);
+            let seq = CorrelationNetwork::from_expression_seq(&m, params);
+            prop_assert_eq!(par.weights.len(), seq.weights.len());
+            for (a, b) in par.weights.iter().zip(&seq.weights) {
+                prop_assert_eq!(a.0, b.0);
+                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+            }
         }
     }
 }
