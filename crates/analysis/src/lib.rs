@@ -18,12 +18,11 @@
 //! (filtered-only) — Fig. 5 bottom.
 
 use casbn_mcode::Cluster;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Overlap of one filtered cluster with its best-matching original
 /// cluster.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterComparison {
     /// Index into the filtered cluster list.
     pub filtered_idx: usize,
@@ -37,7 +36,7 @@ pub struct ClusterComparison {
 }
 
 /// Quadrant classification of a cluster in the (AEES, overlap) plane.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Quadrant {
     /// High AEES, high overlap.
     TruePositive,
@@ -50,7 +49,7 @@ pub enum Quadrant {
 }
 
 /// Counts per quadrant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QuadrantCounts {
     /// High AEES, high overlap.
     pub tp: usize,
@@ -63,7 +62,7 @@ pub struct QuadrantCounts {
 }
 
 /// Sensitivity/specificity derived from quadrant counts (Fig. 8).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SensitivitySpecificity {
     /// TP / (TP + FN).
     pub sensitivity: f64,

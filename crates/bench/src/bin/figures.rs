@@ -61,12 +61,12 @@ fn parse_args() -> Args {
     }
 }
 
-fn dump_json<T: serde::Serialize>(dir: &Option<String>, name: &str, value: &T) {
+/// Write `json` to `DIR/name.json` when `--json DIR` was given.
+fn dump_json(dir: &Option<String>, name: &str, json: String) {
     if let Some(dir) = dir {
         std::fs::create_dir_all(dir).expect("create json dir");
         let path = format!("{dir}/{name}.json");
-        let s = serde_json::to_string_pretty(value).expect("serialise");
-        std::fs::write(&path, s).expect("write json");
+        std::fs::write(&path, json).expect("write json");
         eprintln!("wrote {path}");
     }
 }
@@ -79,49 +79,49 @@ fn main() {
     if want("3") {
         let f = fig3(&mut runner);
         print!("{}", render_fig3(&f));
-        dump_json(&args.json_dir, "fig3", &f);
+        dump_json(&args.json_dir, "fig3", fig3_json(&f));
     }
     if want("4") {
         let f = fig4(&mut runner);
         print!("{}", render_fig4(&f));
-        dump_json(&args.json_dir, "fig4", &f);
+        dump_json(&args.json_dir, "fig4", fig4_json(&f));
     }
     if want("5") {
         let f = fig5(&mut runner);
         print!("{}", render_fig5(&f));
-        dump_json(&args.json_dir, "fig5", &f);
+        dump_json(&args.json_dir, "fig5", fig5_json(&f));
     }
     if want("67") || want("6") || want("7") || want("8") {
         let f = fig67(&mut runner);
         if want("67") || want("6") || want("7") {
             print!("{}", render_fig67(&f));
-            dump_json(&args.json_dir, "fig67", &f);
+            dump_json(&args.json_dir, "fig67", fig67_json(&f));
         }
         if want("8") {
             let f8 = fig8(&f);
             print!("{}", render_fig8(&f8));
-            dump_json(&args.json_dir, "fig8", &f8);
+            dump_json(&args.json_dir, "fig8", fig8_json(&f8));
         }
     }
     if want("9") {
         let f = fig9(&mut runner);
         print!("{}", render_fig9(&f));
-        dump_json(&args.json_dir, "fig9", &f);
+        dump_json(&args.json_dir, "fig9", fig9_json(f.as_ref()));
     }
     if want("10") {
         let procs = [1usize, 2, 4, 8, 16, 32, 64];
         let f = fig10(&mut runner, &procs);
         print!("{}", render_fig10(&f));
-        dump_json(&args.json_dir, "fig10", &f);
+        dump_json(&args.json_dir, "fig10", fig10_json(&f));
     }
     if want("11") {
         let f = fig11(&mut runner);
         print!("{}", render_fig11(&f));
-        dump_json(&args.json_dir, "fig11", &f);
+        dump_json(&args.json_dir, "fig11", fig11_json(&f));
     }
     if want("text") {
         let t = text_stats(&mut runner);
         print!("{}", render_text_stats(&t));
-        dump_json(&args.json_dir, "text_stats", &t);
+        dump_json(&args.json_dir, "text_stats", text_stats_json(&t));
     }
 }

@@ -1,6 +1,7 @@
 //! Data-series generators for every figure in the paper's evaluation
-//! (§IV). Each `figN` function returns a serialisable struct; rendering
-//! lives in [`crate::render`].
+//! (§IV). Each `figN` function returns a plain data struct; rendering
+//! lives in [`crate::render`], and `figN_json` writes the struct as the
+//! `figures --json DIR` document.
 
 use crate::pipeline::{bare, AnnotatedCluster, Experiment, ExperimentScale};
 use casbn_analysis::{classify_quadrants, overlap_table, QuadrantCounts};
@@ -10,7 +11,7 @@ use casbn_core::{
 };
 use casbn_expr::DatasetPreset;
 use casbn_graph::{OrderingKind, PartitionKind};
-use serde::{Deserialize, Serialize};
+use casbn_obs::json::JsonWriter;
 use std::collections::BTreeMap;
 
 /// Default seed for all figure runs (results are fully deterministic).
@@ -46,7 +47,7 @@ impl FigureRunner {
 // ---------------------------------------------------------------------
 
 /// Quadrant counts demonstrating the TP/FP/FN/TN method on one network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig3 {
     /// Network name.
     pub network: String,
@@ -85,7 +86,7 @@ pub fn fig3(runner: &mut FigureRunner) -> Fig3 {
 
 /// One network's AEES table: a column per variant (ORIG + 4 orderings),
 /// each column the descending AEES scores of its clusters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig4Network {
     /// Dataset name.
     pub network: String,
@@ -96,7 +97,7 @@ pub struct Fig4Network {
 }
 
 /// Fig. 4 output for YNG and MID.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig4 {
     /// Tables for the two small networks.
     pub networks: Vec<Fig4Network>,
@@ -134,7 +135,7 @@ pub fn fig4(runner: &mut FigureRunner) -> Fig4 {
 // ---------------------------------------------------------------------
 
 /// A point in an overlap scatter, labelled with its ordering.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OverlapPoint {
     /// Ordering label ("HD", "LD", "NO", "RCM").
     pub ordering: String,
@@ -148,7 +149,7 @@ pub struct OverlapPoint {
 
 /// Fig. 5 data for one network: matched-cluster overlap (top panels) and
 /// novelty of newly-discovered clusters (bottom panels).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig5Network {
     /// Dataset name.
     pub network: String,
@@ -160,7 +161,7 @@ pub struct Fig5Network {
 }
 
 /// Fig. 5 output for UNT and CRE.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig5 {
     /// Per-network panels.
     pub networks: Vec<Fig5Network>,
@@ -207,7 +208,7 @@ pub fn fig5(runner: &mut FigureRunner) -> Fig5 {
 
 /// Overlap-vs-AEES points for all networks and orderings (lost/found
 /// excluded, as in the paper).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig67 {
     /// Per-network, per-ordering matched overlap points.
     pub points: BTreeMap<String, Vec<OverlapPoint>>,
@@ -245,7 +246,7 @@ pub fn fig67(runner: &mut FigureRunner) -> Fig67 {
 // ---------------------------------------------------------------------
 
 /// Sensitivity/specificity per overlap measure (Fig. 8's bars).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig8 {
     /// Quadrant counts using node overlap.
     pub node_counts: QuadrantCounts,
@@ -280,7 +281,7 @@ pub fn fig8(fig67_data: &Fig67) -> Fig8 {
 // ---------------------------------------------------------------------
 
 /// The Fig. 9 case study: the best "rescued" cluster found in UNT/HD.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig9 {
     /// Original cluster size / AEES.
     pub orig_size: usize,
@@ -340,7 +341,7 @@ pub fn fig9(runner: &mut FigureRunner) -> Option<Fig9> {
 // ---------------------------------------------------------------------
 
 /// One algorithm's timing curve.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScalabilitySeries {
     /// Algorithm name.
     pub algorithm: String,
@@ -349,7 +350,7 @@ pub struct ScalabilitySeries {
 }
 
 /// Fig. 10: per-network scalability curves.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig10 {
     /// network name -> three algorithm series.
     pub networks: BTreeMap<String, Vec<ScalabilitySeries>>,
@@ -409,7 +410,7 @@ pub fn fig10(runner: &mut FigureRunner, procs: &[usize]) -> Fig10 {
 // ---------------------------------------------------------------------
 
 /// A top-cluster row of Fig. 11 (right panel).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TopCluster {
     /// Variant: "ORIG", "1P", "64P".
     pub variant: String,
@@ -423,7 +424,7 @@ pub struct TopCluster {
 
 /// Fig. 11: overlap of 1P/64P clusters with the original, plus the top
 /// clusters (AEES > 3.0) of each variant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig11 {
     /// Overlap points of the 1P run.
     pub p1: Vec<OverlapPoint>,
@@ -485,7 +486,7 @@ pub fn fig11(runner: &mut FigureRunner) -> Fig11 {
 
 /// The in-text claims: per-network sizes, per-filter retention, and the
 /// headline H0a result (random walk finds ~no clusters).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TextStats {
     /// Per network: (vertices, edges).
     pub network_sizes: BTreeMap<String, (usize, usize)>,
@@ -552,6 +553,298 @@ pub fn text_stats(runner: &mut FigureRunner) -> TextStats {
     out
 }
 
+// ------------------------------------------------------------------ JSON
+
+// The `figures --json DIR` dumps: one document per figure, fields in
+// declaration order, tuples as arrays and maps as `[key, value]` pair
+// arrays.
+
+fn write_u64s(w: &mut JsonWriter, values: impl IntoIterator<Item = u64>) {
+    w.begin_array();
+    for v in values {
+        w.value_u64(v);
+    }
+    w.end_array();
+}
+
+fn write_f64s(w: &mut JsonWriter, values: impl IntoIterator<Item = f64>) {
+    w.begin_array();
+    for v in values {
+        w.value_f64(v);
+    }
+    w.end_array();
+}
+
+fn write_counts(w: &mut JsonWriter, c: &QuadrantCounts) {
+    w.begin_object();
+    for (key, v) in [("tp", c.tp), ("fp", c.fp), ("fn_", c.fn_), ("tn", c.tn)] {
+        w.key(key);
+        w.value_u64(v as u64);
+    }
+    w.end_object();
+}
+
+fn write_points(w: &mut JsonWriter, points: &[OverlapPoint]) {
+    w.begin_array();
+    for p in points {
+        w.begin_object();
+        w.key("ordering");
+        w.value_str(&p.ordering);
+        for (key, v) in [
+            ("node_overlap", p.node_overlap),
+            ("edge_overlap", p.edge_overlap),
+            ("aees", p.aees),
+        ] {
+            w.key(key);
+            w.value_f64(v);
+        }
+        w.end_object();
+    }
+    w.end_array();
+}
+
+/// `[[key, value], …]` for a string-keyed map, each value written by
+/// `value`.
+fn write_map<V>(
+    w: &mut JsonWriter,
+    map: &BTreeMap<String, V>,
+    mut value: impl FnMut(&mut JsonWriter, &V),
+) {
+    w.begin_array();
+    for (k, v) in map {
+        w.begin_array();
+        w.value_str(k);
+        value(w, v);
+        w.end_array();
+    }
+    w.end_array();
+}
+
+fn write_u64_map(w: &mut JsonWriter, map: &BTreeMap<String, usize>) {
+    write_map(w, map, |w, &v| w.value_u64(v as u64));
+}
+
+fn write_pair_map(w: &mut JsonWriter, map: &BTreeMap<String, (usize, usize)>) {
+    write_map(w, map, |w, &(a, b)| write_u64s(w, [a as u64, b as u64]));
+}
+
+/// The finished document, without the writer's trailing newline
+/// (the dumps have always ended at the closing bracket).
+fn document(w: JsonWriter) -> String {
+    let mut text = w.finish();
+    text.pop();
+    text
+}
+
+/// Fig. 3 as JSON.
+pub fn fig3_json(f: &Fig3) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("network");
+    w.value_str(&f.network);
+    w.key("points");
+    w.begin_array();
+    for &(a, b) in &f.points {
+        write_f64s(&mut w, [a, b]);
+    }
+    w.end_array();
+    w.key("counts");
+    write_counts(&mut w, &f.counts);
+    w.end_object();
+    document(w)
+}
+
+/// Fig. 4 as JSON.
+pub fn fig4_json(f: &Fig4) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("networks");
+    w.begin_array();
+    for n in &f.networks {
+        w.begin_object();
+        w.key("network");
+        w.value_str(&n.network);
+        w.key("columns");
+        w.begin_array();
+        for c in &n.columns {
+            w.value_str(c);
+        }
+        w.end_array();
+        w.key("scores");
+        w.begin_array();
+        for column in &n.scores {
+            write_f64s(&mut w, column.iter().copied());
+        }
+        w.end_array();
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    document(w)
+}
+
+/// Fig. 5 as JSON.
+pub fn fig5_json(f: &Fig5) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("networks");
+    w.begin_array();
+    for n in &f.networks {
+        w.begin_object();
+        w.key("network");
+        w.value_str(&n.network);
+        w.key("matched");
+        write_points(&mut w, &n.matched);
+        w.key("found");
+        write_points(&mut w, &n.found);
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    document(w)
+}
+
+/// Figs. 6–7 as JSON.
+pub fn fig67_json(f: &Fig67) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("points");
+    write_map(&mut w, &f.points, |w, points| write_points(w, points));
+    w.end_object();
+    document(w)
+}
+
+/// Fig. 8 as JSON.
+pub fn fig8_json(f: &Fig8) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("node_counts");
+    write_counts(&mut w, &f.node_counts);
+    w.key("edge_counts");
+    write_counts(&mut w, &f.edge_counts);
+    w.key("node_rates");
+    write_f64s(&mut w, [f.node_rates.0, f.node_rates.1]);
+    w.key("edge_rates");
+    write_f64s(&mut w, [f.edge_rates.0, f.edge_rates.1]);
+    w.end_object();
+    document(w)
+}
+
+/// Fig. 9 as JSON (`null` when no cluster qualified).
+pub fn fig9_json(f: Option<&Fig9>) -> String {
+    let mut w = JsonWriter::new();
+    match f {
+        None => w.value_null(),
+        Some(f) => {
+            w.begin_object();
+            w.key("orig_size");
+            w.value_u64(f.orig_size as u64);
+            w.key("orig_aees");
+            w.value_f64(f.orig_aees);
+            w.key("filt_size");
+            w.value_u64(f.filt_size as u64);
+            for (key, v) in [
+                ("filt_aees", f.filt_aees),
+                ("node_overlap", f.node_overlap),
+                ("edge_overlap", f.edge_overlap),
+                ("improvement", f.improvement),
+            ] {
+                w.key(key);
+                w.value_f64(v);
+            }
+            w.key("dominant_depth");
+            w.value_u64(f.dominant_depth.into());
+            w.end_object();
+        }
+    }
+    document(w)
+}
+
+/// Fig. 10 as JSON.
+pub fn fig10_json(f: &Fig10) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("networks");
+    write_map(&mut w, &f.networks, |w, series| {
+        w.begin_array();
+        for s in series {
+            w.begin_object();
+            w.key("algorithm");
+            w.value_str(&s.algorithm);
+            w.key("points");
+            w.begin_array();
+            for &(procs, sim, wall_ms, messages) in &s.points {
+                w.begin_array();
+                w.value_u64(procs as u64);
+                w.value_f64(sim);
+                w.value_f64(wall_ms);
+                w.value_u64(messages);
+                w.end_array();
+            }
+            w.end_array();
+            w.end_object();
+        }
+        w.end_array();
+    });
+    w.key("procs");
+    write_u64s(&mut w, f.procs.iter().map(|&p| p as u64));
+    w.end_object();
+    document(w)
+}
+
+/// Fig. 11 as JSON.
+pub fn fig11_json(f: &Fig11) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("p1");
+    write_points(&mut w, &f.p1);
+    w.key("p64");
+    write_points(&mut w, &f.p64);
+    w.key("top");
+    w.begin_array();
+    for t in &f.top {
+        w.begin_object();
+        w.key("variant");
+        w.value_str(&t.variant);
+        w.key("size");
+        w.value_u64(t.size as u64);
+        w.key("aees");
+        w.value_f64(t.aees);
+        w.key("max_depth");
+        w.value_u64(t.max_depth.into());
+        w.end_object();
+    }
+    w.end_array();
+    w.key("edges");
+    let (a, b, c) = f.edges;
+    write_u64s(&mut w, [a as u64, b as u64, c as u64]);
+    w.end_object();
+    document(w)
+}
+
+/// The in-text statistics as JSON.
+pub fn text_stats_json(t: &TextStats) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("network_sizes");
+    write_pair_map(&mut w, &t.network_sizes);
+    w.key("chordal_sizes");
+    write_map(&mut w, &t.chordal_sizes, write_u64_map);
+    for (key, map) in [
+        ("randomwalk_sizes", &t.randomwalk_sizes),
+        ("original_clusters", &t.original_clusters),
+        ("chordal_clusters", &t.chordal_clusters),
+        ("randomwalk_clusters", &t.randomwalk_clusters),
+    ] {
+        w.key(key);
+        write_u64_map(&mut w, map);
+    }
+    w.key("duplicates_at_64p");
+    write_pair_map(&mut w, &t.duplicates_at_64p);
+    w.end_object();
+    document(w)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,6 +884,50 @@ mod tests {
             + rates.node_counts.fn_
             + rates.node_counts.tn;
         assert!(total > 0, "quadrants must classify something");
+    }
+
+    #[test]
+    fn figure_json_layout_is_pinned() {
+        let counts = QuadrantCounts {
+            tp: 3,
+            fp: 0,
+            fn_: 1,
+            tn: 2,
+        };
+        let f8 = Fig8 {
+            node_counts: counts,
+            edge_counts: counts,
+            node_rates: (0.75, 1.0),
+            edge_rates: (f64::NAN, 0.1 + 0.2),
+        };
+        let counts_json = "{\n    \"tp\": 3,\n    \"fp\": 0,\n    \"fn_\": 1,\n    \"tn\": 2\n  }";
+        assert_eq!(
+            fig8_json(&f8),
+            format!(
+                "{{\n  \"node_counts\": {counts_json},\n  \"edge_counts\": {counts_json},\n  \
+                 \"node_rates\": [\n    0.75,\n    1.0\n  ],\n  \
+                 \"edge_rates\": [\n    null,\n    0.30000000000000004\n  ]\n}}"
+            )
+        );
+        assert_eq!(fig9_json(None), "null");
+        let mut sizes = BTreeMap::new();
+        sizes.insert("YNG".to_string(), 5);
+        let mut t = TextStats {
+            network_sizes: BTreeMap::new(),
+            chordal_sizes: BTreeMap::new(),
+            randomwalk_sizes: sizes.clone(),
+            original_clusters: sizes.clone(),
+            chordal_clusters: sizes.clone(),
+            randomwalk_clusters: sizes,
+            duplicates_at_64p: BTreeMap::new(),
+        };
+        t.network_sizes.insert("YNG".to_string(), (7, 9));
+        let text = text_stats_json(&t);
+        assert!(
+            text.starts_with("{\n  \"network_sizes\": [\n    [\n      \"YNG\",\n      [\n        7,\n        9\n      ]\n    ]\n  ],\n  \"chordal_sizes\": [],"),
+            "{text}"
+        );
+        assert!(text.ends_with("\"duplicates_at_64p\": []\n}"), "{text}");
     }
 
     #[test]

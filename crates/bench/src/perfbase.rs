@@ -25,10 +25,10 @@ use casbn_distsim::CostModel;
 use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
 use casbn_graph::{DeltaGraph, EdgeDelta, Graph, PartitionKind};
 use casbn_mcode::{mcode_cluster_into, Cluster, McodeParams, McodeScratch};
+use casbn_obs::json::{parse, JsonError, JsonWriter, Value};
 use casbn_serve::{run_script, Request, ServeEngine};
 use casbn_store::{Store, StoreWriter};
 use casbn_stream::{synthesize_replay, OnlineCorrelation, StreamConfig, StreamDriver};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -43,7 +43,7 @@ pub const DEFAULT_THRESHOLD: f64 = 0.5;
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// One workload's measurements.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadResult {
     /// Workload name (stable across PRs; the diff key).
     pub name: String,
@@ -62,7 +62,7 @@ pub struct WorkloadResult {
 }
 
 /// All workloads measured at one dataset scale.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PerfSuite {
     /// Dataset scale fraction the suite ran at.
     pub scale: f64,
@@ -71,7 +71,7 @@ pub struct PerfSuite {
 }
 
 /// The on-disk baseline: one suite per recorded scale.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PerfBaseline {
     /// Schema version of this file.
     pub schema: u32,
@@ -79,8 +79,84 @@ pub struct PerfBaseline {
     pub suites: Vec<PerfSuite>,
 }
 
+impl PerfBaseline {
+    /// The baseline file's JSON document (newline terminated). Fields
+    /// appear in declaration order; `counters` entries are
+    /// `[name, count]` pairs.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("schema");
+        w.value_u64(self.schema.into());
+        w.key("suites");
+        w.begin_array();
+        for suite in &self.suites {
+            w.begin_object();
+            w.key("scale");
+            w.value_f64(suite.scale);
+            w.key("results");
+            w.begin_array();
+            for r in &suite.results {
+                w.begin_object();
+                w.key("name");
+                w.value_str(&r.name);
+                w.key("wall_seconds");
+                w.value_f64(r.wall_seconds);
+                w.key("sim_seconds");
+                w.value_f64(r.sim_seconds);
+                w.key("checksum");
+                w.value_u64(r.checksum);
+                w.key("counters");
+                w.begin_array();
+                for (name, count) in &r.counters {
+                    w.begin_array();
+                    w.value_str(name);
+                    w.value_u64(*count);
+                    w.end_array();
+                }
+                w.end_array();
+                w.end_object();
+            }
+            w.end_array();
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        w.finish()
+    }
+
+    /// Parse a baseline file written by [`PerfBaseline::to_json`].
+    pub fn from_json(text: &str) -> Result<PerfBaseline, JsonError> {
+        let doc = parse(text)?;
+        Ok(PerfBaseline {
+            schema: doc.field("schema")?.as_u32()?,
+            suites: doc.field("suites")?.map_array(|s| {
+                Ok(PerfSuite {
+                    scale: s.field("scale")?.as_f64()?,
+                    results: s.field("results")?.map_array(workload_from_json)?,
+                })
+            })?,
+        })
+    }
+}
+
+fn workload_from_json(r: &Value) -> Result<WorkloadResult, JsonError> {
+    Ok(WorkloadResult {
+        name: r.field("name")?.as_str()?.to_string(),
+        wall_seconds: r.field("wall_seconds")?.as_f64()?,
+        sim_seconds: r.field("sim_seconds")?.as_f64()?,
+        checksum: r.field("checksum")?.as_u64()?,
+        counters: r.field("counters")?.map_array(|c| match c.as_array()? {
+            [name, count] => Ok((name.as_str()?.to_string(), count.as_u64()?)),
+            _ => Err(JsonError::Schema(
+                "a counter is a [name, count] pair".into(),
+            )),
+        })?,
+    })
+}
+
 /// One detected difference between a baseline and a fresh suite.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Regression {
     /// Workload name.
     pub workload: String,
@@ -93,7 +169,7 @@ pub struct Regression {
 }
 
 /// Outcome of diffing a fresh suite against a baseline.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DiffReport {
     /// Workloads compared (matched by name at the same scale).
     pub compared: usize,
@@ -756,10 +832,12 @@ mod tests {
         // an off-by-an-ulp value quantises back to its clean form…
         let noisy = 0.000_001_050_000_000_000_000_1_f64;
         let clean = clean_seconds(noisy);
-        assert_eq!(serde_json::to_string(&clean).unwrap(), "0.00000105");
+        let mut w = JsonWriter::new();
+        w.value_f64(clean);
+        let text = w.finish();
+        assert_eq!(text, "0.00000105\n");
         // …and the quantised value round-trips through JSON exactly
-        let back: f64 = serde_json::from_str(&serde_json::to_string(&clean).unwrap()).unwrap();
-        assert_eq!(back, clean);
+        assert_eq!(parse(&text).and_then(|v| v.as_f64()), Ok(clean));
         assert_eq!(clean_seconds(0.0), 0.0);
         assert_eq!(clean_seconds(2.5), 2.5);
         // every recorded suite metric is already clean (idempotent)
@@ -922,10 +1000,31 @@ mod tests {
     #[test]
     fn baseline_roundtrips_through_json() {
         let base = merge(PerfBaseline::default(), tiny_suite());
-        let text = serde_json::to_string_pretty(&base).unwrap();
-        let back: PerfBaseline = serde_json::from_str(&text).unwrap();
+        let text = base.to_json();
+        let back = PerfBaseline::from_json(&text).unwrap();
         assert_eq!(back.schema, base.schema);
         assert_eq!(back.suites.len(), base.suites.len());
         assert_eq!(back.suites[0].results, base.suites[0].results);
+    }
+
+    #[test]
+    fn committed_baseline_is_rewritten_byte_for_byte() {
+        let text = include_str!("../../../BENCH_pipeline.json");
+        let base = PerfBaseline::from_json(text).unwrap();
+        assert_eq!(base.schema, SCHEMA_VERSION);
+        assert!(!base.suites.is_empty());
+        assert_eq!(base.to_json(), text);
+    }
+
+    #[test]
+    fn malformed_baselines_are_typed_errors() {
+        for text in [
+            "",
+            "{\"schema\": 2}",
+            "{\"schema\": 2, \"suites\": [{\"scale\": \"x\", \"results\": []}]}",
+            "{\"schema\": 4294967296, \"suites\": []}",
+        ] {
+            assert!(PerfBaseline::from_json(text).is_err(), "{text:?}");
+        }
     }
 }

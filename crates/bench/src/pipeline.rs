@@ -6,7 +6,6 @@ use casbn_expr::{Dataset, DatasetPreset};
 use casbn_graph::{Graph, OrderingKind};
 use casbn_mcode::{mcode_cluster, Cluster, McodeParams};
 use casbn_ontology::{AnnotatedOntology, ClusterAnnotation, EnrichmentScorer, GoDag};
-use serde::{Deserialize, Serialize};
 
 /// How large to build the synthetic datasets.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,7 +27,7 @@ impl ExperimentScale {
 }
 
 /// A cluster together with its GO enrichment annotation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AnnotatedCluster {
     /// The MCODE cluster.
     pub cluster: Cluster,

@@ -42,11 +42,10 @@
 //!   from ever forming (quantified in `benches/ablation.rs`).
 
 use casbn_graph::{nbhood, norm_edge, Edge, Graph, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// Vertex selection rule for the DSW traversal.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SelectionRule {
     /// Process the vertex with the largest candidate set next
     /// (ties by smallest label). DSW's rule; the default.
@@ -57,7 +56,7 @@ pub enum SelectionRule {
 }
 
 /// Configuration for [`maximal_chordal_subgraph`].
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ChordalConfig {
     /// Vertex selection rule.
     pub selection: SelectionRule,
@@ -66,7 +65,7 @@ pub struct ChordalConfig {
 /// Abstract work counter fed to the distributed-simulation cost model:
 /// counts candidate-set operations (the unit the `O(E·d)` bound is
 /// expressed in).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounter {
     /// Candidate-set element operations performed.
     pub ops: u64,

@@ -10,7 +10,8 @@ use casbn_expr::{DatasetPreset, ExpressionMatrix, NetworkParams};
 use casbn_fuzz::{Execution, FuzzConfig};
 use casbn_graph::io::{read_edge_list, write_edge_list};
 use casbn_graph::{store as graph_store, Graph, PartitionKind};
-use casbn_mcode::{mcode_cluster, store as mcode_store, Cluster, McodeParams};
+use casbn_mcode::json::{clusters_from_json, clusters_to_json};
+use casbn_mcode::{mcode_cluster, store as mcode_store, McodeParams};
 use casbn_serve::{
     install_sigint_handler, parse_script, run_script, serve_session, serve_tcp, shutdown_flag,
     ServeEngine, SessionConfig,
@@ -123,9 +124,9 @@ FLAGS:
   --listen     `serve`: accept concurrent read-only TCP sessions on ADDR
                (e.g. 127.0.0.1:7878) until SIGINT; a streaming source
                ingests concurrently, rotating snapshots per window
-  --target     `fuzz` input surface: edge-list | replay | csbn |
-               csbn-lazy | csbn-append | csbn-crash | checkpoint-resume |
-               csbn-serve | cli-argv | all (default all)
+  --target     `fuzz` input surface: edge-list | replay | cluster-json |
+               csbn | csbn-lazy | csbn-append | csbn-crash |
+               checkpoint-resume | csbn-serve | cli-argv | all (default all)
   --iters      `fuzz` iterations per target (default 1000)
   --corpus     `fuzz` corpus directory: DIR/<target>/ files replay as a
                regression suite, and new crashers are written back there
@@ -255,21 +256,22 @@ pub const FUZZ_USAGE: &str = "\
 casbn fuzz — deterministic structure-aware fuzzing of every input surface
 
 Each target wraps one untrusted-input surface (whitespace edge lists,
-sample-major replay files, .csbn containers, stream checkpoints, CLI
-argv vectors) behind a panic-catching, allocation-capped driver and a
-differential oracle: inputs that parse must re-encode bit-identically,
-and a checkpoint that resumes must replay to the uninterrupted run's
-exact checksum. Campaigns are bit-deterministic — the per-target trace
-checksum is reproducible from --seed alone, and any crasher reproduces
-from its (target, seed, iteration) coordinates.
+sample-major replay files, cluster-set JSON, .csbn containers, stream
+checkpoints, CLI argv vectors) behind a panic-catching,
+allocation-capped driver and a differential oracle: inputs that parse
+must re-encode bit-identically, and a checkpoint that resumes must
+replay to the uninterrupted run's exact checksum. Campaigns are
+bit-deterministic — the per-target trace checksum is reproducible from
+--seed alone, and any crasher reproduces from its (target, seed,
+iteration) coordinates.
 
 USAGE:
   casbn fuzz [--target T|all] [--iters N] [--seed N] [--corpus DIR]
              [--minimize FILE]
 
 FLAGS:
-  --target     one of edge-list | replay | csbn | csbn-lazy |
-               csbn-append | csbn-crash | checkpoint-resume |
+  --target     one of edge-list | replay | cluster-json | csbn |
+               csbn-lazy | csbn-append | csbn-crash | checkpoint-resume |
                csbn-serve | cli-argv, or all (default all)
   --iters      fuzzing iterations per target (default 1000)
   --seed       campaign seed; equal seeds give identical iteration
@@ -531,10 +533,7 @@ pub fn cluster(argv: &[String]) -> i32 {
         };
         let clusters = mcode_cluster(&g, &params);
         if args.has("json") {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&clusters).map_err(|e| e.to_string())?
-            );
+            print!("{}", clusters_to_json(&clusters));
         } else {
             println!(
                 "{} clusters (score >= {})",
@@ -775,8 +774,8 @@ pub fn bench(argv: &[String]) -> i32 {
         }
         if let Some(path) = args.get("baseline") {
             let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-            let base: perfbase::PerfBaseline =
-                serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?;
+            let base = perfbase::PerfBaseline::from_json(&text)
+                .map_err(|e| format!("parse {path}: {e}"))?;
             let report = perfbase::diff(&base, &suite, threshold, args.has("wall"));
             eprint!("{}", report.render());
             if let Some(md_path) = args.get("summary") {
@@ -793,16 +792,16 @@ pub fn bench(argv: &[String]) -> i32 {
             // an absent file starts a fresh baseline, but an existing file
             // that fails to parse must error — silently replacing it would
             // destroy the other scales' committed suites
-            let existing: perfbase::PerfBaseline = match std::fs::read_to_string(out) {
-                Ok(text) => serde_json::from_str(&text).map_err(|e| {
+            let existing = match std::fs::read_to_string(out) {
+                Ok(text) => perfbase::PerfBaseline::from_json(&text).map_err(|e| {
                     format!("existing baseline {out} is unreadable ({e}); refusing to overwrite")
                 })?,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => Default::default(),
                 Err(e) => return Err(format!("read {out}: {e}")),
             };
             let merged = perfbase::merge(existing, suite);
-            let json = serde_json::to_string_pretty(&merged).map_err(|e| e.to_string())?;
-            write_artifact(out, (json + "\n").as_bytes(), RetryPolicy::default())?;
+            let json = merged.to_json();
+            write_artifact(out, json.as_bytes(), RetryPolicy::default())?;
             eprintln!("wrote {out}");
         }
         metrics_finish(metrics)
@@ -1066,10 +1065,7 @@ pub fn stream(argv: &[String]) -> i32 {
         let summary = driver.finish();
 
         if args.has("json") {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-            );
+            print!("{}", summary.to_json());
         } else {
             // the per-window table is progress diagnostics: stderr, so
             // stdout carries only the machine-checkable checksum line
@@ -1390,8 +1386,7 @@ pub fn pack(argv: &[String]) -> i32 {
             "clusters" => {
                 let text = std::str::from_utf8(&bytes)
                     .map_err(|_| format!("{input} is not UTF-8 cluster JSON"))?;
-                let cs: Vec<Cluster> =
-                    serde_json::from_str(text).map_err(|e| format!("parse {input}: {e}"))?;
+                let cs = clusters_from_json(text).map_err(|e| format!("parse {input}: {e}"))?;
                 mcode_store::add_clusters(&mut w, 0, &cs);
                 eprintln!("packed {} clusters", cs.len());
             }

@@ -201,6 +201,15 @@ fn fuzz_usage_documents_every_fuzz_flag() {
 }
 
 #[test]
+fn both_usages_name_every_fuzz_target() {
+    assert_eq!(casbn_fuzz::TARGET_NAMES.len(), 10);
+    for name in casbn_fuzz::TARGET_NAMES {
+        assert!(FUZZ_USAGE.contains(name), "FUZZ_USAGE is missing `{name}`");
+        assert!(USAGE.contains(name), "USAGE is missing `{name}`");
+    }
+}
+
+#[test]
 fn serve_help_snapshot_matches_serve_usage_constant() {
     let out = Command::new(env!("CARGO_BIN_EXE_casbn"))
         .args(["serve", "--help"])

@@ -2,6 +2,9 @@
 //! inspect / verify, magic-byte auto-detection on every `--in`, and the
 //! stream checkpoint → resume bit-identity gate.
 
+use casbn_mcode::json::clusters_to_json;
+use casbn_mcode::store::load_clusters;
+use casbn_store::Store;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -228,6 +231,48 @@ fn cluster_json_packs_into_a_clusters_section() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let out = casbn(&["inspect", "--in", &packed]);
     assert!(stdout(&out).contains("clusters"), "{}", stdout(&out));
+    // the packed section decodes to exactly the clusters that were
+    // written: rendering them again reproduces the input document
+    let bytes = std::fs::read(&packed).unwrap();
+    let store = Store::parse(&bytes).unwrap();
+    let unpacked = load_clusters(&store, 0).unwrap();
+    assert!(!unpacked.is_empty());
+    assert_eq!(
+        clusters_to_json(&unpacked),
+        std::fs::read_to_string(&json).unwrap()
+    );
+}
+
+#[test]
+fn cluster_json_is_byte_stable() {
+    // the committed fixture pins every byte of the document
+    let edges = tmp("pin.tsv");
+    write_edge_list_fixture(&edges);
+    let out = casbn(&["cluster", "--in", &edges, "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(stdout(&out), include_str!("fixtures/cluster_k.json"));
+}
+
+#[test]
+fn deeply_nested_cluster_json_is_a_parse_error_not_an_abort() {
+    let json = tmp("deep.json");
+    let packed = tmp("deep.csbn");
+    std::fs::write(&json, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
+    let out = casbn(&[
+        "pack", "--in", &json, "--kind", "clusters", "--out", &packed,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).starts_with("error: parse "),
+        "{}",
+        stderr(&out)
+    );
+    assert!(
+        stderr(&out).contains("nesting deeper than"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!std::path::Path::new(&packed).exists());
 }
 
 #[test]

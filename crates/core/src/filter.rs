@@ -2,7 +2,6 @@
 //! types.
 
 use casbn_graph::Graph;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// An adaptive network sampling filter (paper §III).
@@ -18,7 +17,7 @@ pub trait Filter {
 }
 
 /// Execution statistics of one filter application.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FilterStats {
     /// Ranks (simulated processors) used.
     pub nranks: usize,

@@ -43,10 +43,9 @@ use casbn_chordal::{
 };
 use casbn_distsim::{CostModel, SimClock};
 use casbn_graph::{nbhood, DeltaGraph, EdgeDelta, Graph, NeighborhoodScratch, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Per-batch maintenance statistics.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct IncBatchStats {
     /// Offered insertions retained at the end of the batch (directly
     /// admitted or re-admitted by a regional rebuild).

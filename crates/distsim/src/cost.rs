@@ -1,7 +1,5 @@
 //! LogP-flavoured cost model and per-rank simulated clock.
 
-use serde::{Deserialize, Serialize};
-
 /// Machine parameters of the simulated cluster.
 ///
 /// Defaults are calibrated to a mid-2000s commodity Linux cluster like the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// (a few arithmetic ops + a cache-resident memory access), ~20 µs MPI
 /// point-to-point latency, and ~1 GB/s effective interconnect bandwidth.
 /// Only *ratios* matter for the reproduced curves.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Seconds per abstract compute operation.
     pub seconds_per_op: f64,
@@ -47,7 +45,7 @@ impl CostModel {
 }
 
 /// Per-rank simulated clock. Monotone: every charge moves it forward.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimClock {
     now: f64,
 }

@@ -1,10 +1,8 @@
 //! Dense genes × samples expression matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// A genes × samples matrix, row-major: row `g` holds gene `g`'s
 /// expression across all arrays.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExpressionMatrix {
     genes: usize,
     samples: usize,

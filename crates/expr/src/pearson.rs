@@ -42,12 +42,11 @@
 use crate::matrix::ExpressionMatrix;
 use casbn_graph::{Edge, Graph};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Thresholds for network construction. Defaults are the paper's:
 /// `0.95 ≤ ρ ≤ 1.00`, `p ≤ 0.0005`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetworkParams {
     /// Minimum Pearson correlation (positive correlations only, as in the
     /// paper's final networks).

@@ -22,10 +22,9 @@
 use crate::pearson::{CorrelationNetwork, NetworkParams};
 use crate::synthetic::{SyntheticMicroarray, SyntheticParams};
 use casbn_graph::{Graph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// The four networks of the paper's evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DatasetPreset {
     /// GSE5078 young mice (small network).
     Yng,

@@ -4,10 +4,9 @@ use crate::matrix::{normal, ExpressionMatrix};
 use casbn_graph::VertexId;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the latent-factor expression model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SyntheticParams {
     /// Total genes on the array.
     pub genes: usize,

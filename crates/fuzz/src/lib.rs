@@ -1,10 +1,10 @@
 //! Deterministic structure-aware fuzzing and differential-oracle
 //! harness over every CASBN input surface.
 //!
-//! Five parsing surfaces accept untrusted bytes: whitespace edge-list
-//! text, sample-major replay files, `.csbn` binary containers, stream
-//! checkpoint containers, and CLI argv vectors. This crate fuzzes all
-//! of them under one invariant — **typed `Err`, never panic, never
+//! Six parsing surfaces accept untrusted bytes: whitespace edge-list
+//! text, sample-major replay files, cluster-set JSON, `.csbn` binary
+//! containers, stream checkpoint containers, and CLI argv vectors. This
+//! crate fuzzes all of them under one invariant — **typed `Err`, never panic, never
 //! over-allocation** — and layers differential oracles on top: inputs
 //! that parse must re-encode and re-parse to the identical value, and a
 //! checkpoint that resumes must replay to the uninterrupted run's exact

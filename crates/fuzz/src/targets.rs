@@ -25,8 +25,10 @@ use casbn_expr::{DatasetPreset, ExpressionMatrix};
 use casbn_graph::io::{read_edge_list, write_edge_list, write_weighted_edge_list};
 use casbn_graph::store as graph_store;
 use casbn_graph::{generators::gnm, DeltaGraph, EdgeDelta};
+use casbn_mcode::json::{clusters_from_json, clusters_to_json};
 use casbn_mcode::store as mcode_store;
 use casbn_mcode::Cluster;
+use casbn_obs::json::{self, JsonWriter, MAX_DEPTH};
 use casbn_serve::protocol as serve_protocol;
 use casbn_store::{is_store_bytes, SectionKind, Store, StoreWriter, MAGIC};
 use casbn_stream::{read_replay, synthesize_replay, write_replay, StreamConfig, StreamDriver};
@@ -62,11 +64,12 @@ pub trait Target {
 /// `Err` is the parser's typed rejection.
 pub type ArgvCheck = fn(&[String]) -> Result<(), String>;
 
-/// The eight targets that need no injection.
+/// The nine targets that need no injection.
 pub fn builtin_targets() -> Vec<Box<dyn Target>> {
     vec![
         Box::new(EdgeListTarget),
         Box::new(ReplayTarget),
+        Box::new(ClusterJsonTarget),
         Box::new(CsbnTarget),
         Box::new(LazyOpenTarget),
         Box::new(AppendTarget),
@@ -76,7 +79,7 @@ pub fn builtin_targets() -> Vec<Box<dyn Target>> {
     ]
 }
 
-/// All nine targets, with the CLI argv surface wired to `check`.
+/// All ten targets, with the CLI argv surface wired to `check`.
 pub fn all_targets(check: ArgvCheck) -> Vec<Box<dyn Target>> {
     let mut ts = builtin_targets();
     ts.push(Box::new(ArgvTarget { check }));
@@ -84,9 +87,10 @@ pub fn all_targets(check: ArgvCheck) -> Vec<Box<dyn Target>> {
 }
 
 /// Registry names in canonical order.
-pub const TARGET_NAMES: [&str; 9] = [
+pub const TARGET_NAMES: [&str; 10] = [
     "edge-list",
     "replay",
+    "cluster-json",
     "csbn",
     "csbn-lazy",
     "csbn-append",
@@ -272,6 +276,132 @@ impl Target for ReplayTarget {
             .any(|(&a, &b)| !f64_same(a, b))
         {
             return Err("replay round-trip changed a cell value".into());
+        }
+        Ok(Outcome::Accepted)
+    }
+}
+
+// ------------------------------------------------------------- cluster-json
+
+/// MCODE cluster-set JSON (`casbn_mcode::json::clusters_from_json` over
+/// `casbn_obs::json::parse`) — the `casbn pack --kind clusters` input.
+struct ClusterJsonTarget;
+
+impl Target for ClusterJsonTarget {
+    fn name(&self) -> &'static str {
+        "cluster-json"
+    }
+
+    fn generate(&mut self, rng: &mut FuzzRng) -> Vec<u8> {
+        const ODD_TOKENS: &[&str] = &[
+            "-0",
+            "1e999",
+            "4294967296",
+            "18446744073709551616",
+            "-1",
+            "0.5e-3",
+            "01",
+            "null",
+            "\"\\u00e9\"",
+            "\"\\ud800\"",
+            "{}",
+            "[[]]",
+        ];
+        let mut text = if rng.chance(1, 6) {
+            // nesting around the reader's depth cap
+            let depth = MAX_DEPTH - 2 + rng.below(5);
+            let (open, close) = if rng.chance(1, 2) {
+                ("[", "]")
+            } else {
+                ("{\"k\": ", "}")
+            };
+            open.repeat(depth) + "0" + &close.repeat(depth)
+        } else {
+            let clusters: Vec<Cluster> = (0..rng.below(4))
+                .map(|_| {
+                    let vertices: Vec<u32> =
+                        (0..rng.below(6)).map(|_| rng.below(64) as u32).collect();
+                    let edges = (0..rng.below(6))
+                        .map(|_| (rng.below(64) as u32, rng.below(64) as u32))
+                        .collect();
+                    Cluster {
+                        vertices,
+                        edges,
+                        score: *rng.pick(&[0.0, 3.0, 8.0 / 3.0, -0.0, 1e300, 5e-324]),
+                        seed: rng.below(64) as u32,
+                    }
+                })
+                .collect();
+            let mut text = clusters_to_json(&clusters);
+            if rng.chance(1, 3) {
+                // swap one number for an odd token
+                let digits: Vec<usize> = text
+                    .bytes()
+                    .enumerate()
+                    .filter(|(_, b)| b.is_ascii_digit())
+                    .map(|(i, _)| i)
+                    .collect();
+                if !digits.is_empty() {
+                    let at = *rng.pick(&digits);
+                    let token = ODD_TOKENS[rng.below(ODD_TOKENS.len())];
+                    text.replace_range(at..at + 1, token);
+                }
+            }
+            text
+        };
+        if rng.chance(1, 8) {
+            text.insert(0, '\u{feff}');
+        }
+        let mut bytes = text.into_bytes();
+        if rng.chance(1, 2) {
+            let rounds = rng.range(1, 6);
+            mutate(&mut bytes, rng, rounds);
+        }
+        bytes
+    }
+
+    fn run(&mut self, input: &[u8]) -> Result<Outcome, String> {
+        let Ok(text) = std::str::from_utf8(input) else {
+            return Ok(Outcome::Rejected);
+        };
+        let value = match json::parse(text) {
+            Err(e) => {
+                let _ = e.to_string();
+                return Ok(Outcome::Rejected);
+            }
+            Ok(v) => v,
+        };
+        // oracle 1: any parsed document is reproduced by writing it and
+        // reading it back
+        let mut w = JsonWriter::new();
+        w.value(&value);
+        let written = w.finish();
+        let again =
+            json::parse(&written).map_err(|e| format!("re-parse of written JSON rejected: {e}"))?;
+        let mut w = JsonWriter::new();
+        w.value(&again);
+        if again != value || w.finish() != written {
+            return Err("JSON write → re-read changed the document".into());
+        }
+        let clusters = match clusters_from_json(text) {
+            Err(e) => {
+                let _ = e.to_string();
+                return Ok(Outcome::Rejected);
+            }
+            Ok(cs) => cs,
+        };
+        // oracle 2: an accepted cluster set round-trips exactly
+        let back = clusters_from_json(&clusters_to_json(&clusters))
+            .map_err(|e| format!("re-parse of written clusters rejected: {e}"))?;
+        if back.len() != clusters.len()
+            || back.iter().zip(&clusters).any(|(a, b)| {
+                a.vertices != b.vertices
+                    || a.edges != b.edges
+                    || a.seed != b.seed
+                    || !f64_same(a.score, b.score)
+            })
+        {
+            return Err("cluster JSON round-trip changed the clusters".into());
         }
         Ok(Outcome::Accepted)
     }

@@ -13,14 +13,13 @@
 //! view of the current state.
 
 use crate::graph::{Csr, Edge, Graph, InvariantViolation, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// One batch of edge changes, canonical `(min, max)` edges.
 ///
 /// Produced by the online correlation accumulator after each ingest
 /// window and consumed by [`DeltaGraph::apply`] and the incremental
 /// chordal maintainer.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EdgeDelta {
     /// Edges that newly satisfy the retention predicate, ascending.
     pub inserts: Vec<Edge>,

@@ -1,6 +1,5 @@
 //! Core undirected graph structure with sorted adjacency lists.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// Vertex identifier. Kept at 32 bits: the paper's largest network has
@@ -23,7 +22,7 @@ pub type Edge = (VertexId, VertexId);
 /// `has_edge` is a binary search (`O(log d)`), which keeps the
 /// Dearing–Shier–Warner candidate updates and the MCODE neighbourhood
 /// density computations within their published complexity bounds.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Graph {
     adj: Vec<Vec<VertexId>>,
     m: usize,
@@ -396,27 +395,6 @@ impl EdgeRankIndex {
 pub struct Csr<'a> {
     xadj: Cow<'a, [u32]>,
     adjncy: Cow<'a, [VertexId]>,
-}
-
-// Hand-written serde impls: the vendored derive shim only handles
-// non-generic types, and deserialisation always rebuilds owned storage
-// anyway (a borrowed view cannot outlive the text it was parsed from).
-impl Serialize for Csr<'_> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("xadj".to_string(), self.xadj[..].to_value()),
-            ("adjncy".to_string(), self.adjncy[..].to_value()),
-        ])
-    }
-}
-
-impl<'a> Deserialize for Csr<'a> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Csr {
-            xadj: Cow::Owned(Vec::<u32>::from_value(v.field("xadj", "Csr")?)?),
-            adjncy: Cow::Owned(Vec::<VertexId>::from_value(v.field("adjncy", "Csr")?)?),
-        })
-    }
 }
 
 /// A structural invariant violated by data handed to a fallible graph

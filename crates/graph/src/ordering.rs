@@ -12,11 +12,10 @@ use crate::graph::{Graph, VertexId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The vertex orderings compared in the paper, plus `Random` for testing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OrderingKind {
     /// The order vertices already carry (gene nomenclature order).
     Natural,

@@ -7,11 +7,10 @@
 
 use crate::algo::connected_components;
 use crate::graph::{Edge, Graph, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Partitioning strategies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PartitionKind {
     /// Contiguous blocks of vertex ids (`id * P / n`). This is the natural
     /// distribution for a relabelled (ordered) graph and what an MPI code
@@ -26,7 +25,7 @@ pub enum PartitionKind {
 }
 
 /// A `P`-way vertex partition of a graph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Partition {
     part_of: Vec<u32>,
     nparts: usize,

@@ -22,12 +22,12 @@
 //! lower tend to indicate small cliques, or K3 graphs").
 
 use casbn_graph::{Edge, Graph, NeighborhoodScratch, VertexId};
-use serde::{Deserialize, Serialize};
 
+pub mod json;
 pub mod store;
 
 /// MCODE parameters. `Default` mirrors the defaults the paper used.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct McodeParams {
     /// Vertex weight percentage: how far below the seed weight a member
     /// may fall (default 0.2).
@@ -58,7 +58,7 @@ impl Default for McodeParams {
 }
 
 /// A predicted complex (cluster).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Cluster {
     /// Member vertices, ascending.
     pub vertices: Vec<VertexId>,

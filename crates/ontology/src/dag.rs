@@ -2,7 +2,6 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Term identifier; term 0 is always the ROOT.
@@ -16,12 +15,10 @@ pub type TermId = u32;
 /// secondary parent — making it a genuine DAG, not a tree. Term *depth*
 /// is the shortest distance to the ROOT, exactly the "distance from the
 /// ROOT node to the DCP" of the paper's scoring.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GoDag {
     parents: Vec<Vec<TermId>>,
     depth: Vec<u32>,
-    /// First term id of each level (levels are contiguous id ranges).
-    level_start: Vec<TermId>,
 }
 
 impl GoDag {
@@ -33,11 +30,9 @@ impl GoDag {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut parents: Vec<Vec<TermId>> = vec![Vec::new()]; // root
         let mut depth: Vec<u32> = vec![0];
-        let mut level_start: Vec<TermId> = vec![0];
         let mut prev_level: Vec<TermId> = vec![0];
         let mut width = width_factor.max(2);
         for l in 1..=levels {
-            level_start.push(parents.len() as TermId);
             let mut this_level = Vec::with_capacity(width);
             for _ in 0..width {
                 let id = parents.len() as TermId;
@@ -57,11 +52,7 @@ impl GoDag {
             // widen geometrically but cap level width at 4× the factor²
             width = (width * 2).min(width_factor * width_factor * 4);
         }
-        GoDag {
-            parents,
-            depth,
-            level_start,
-        }
+        GoDag { parents, depth }
     }
 
     /// Number of terms (including the root).

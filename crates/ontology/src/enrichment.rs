@@ -4,11 +4,10 @@ use crate::dag::{GoDag, TermId};
 use casbn_graph::{Edge, VertexId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A GO-like DAG plus per-gene term annotations.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AnnotatedOntology {
     /// The term DAG.
     pub dag: GoDag,
@@ -80,7 +79,7 @@ impl AnnotatedOntology {
 }
 
 /// Per-cluster annotation produced by the scorer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterAnnotation {
     /// Average edge enrichment score over the cluster's edges.
     pub aees: f64,

@@ -13,11 +13,10 @@
 use crate::dag::TermId;
 use crate::enrichment::AnnotatedOntology;
 use casbn_graph::VertexId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One enriched term in a cluster.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EnrichedTerm {
     /// The GO-like term.
     pub term: TermId,

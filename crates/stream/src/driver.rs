@@ -9,8 +9,8 @@ use casbn_distsim::CostModel;
 use casbn_expr::{ExpressionMatrix, NetworkParams};
 use casbn_graph::{nbhood, store as graph_store, DeltaGraph, VertexId};
 use casbn_mcode::{mcode_cluster_into, Cluster, McodeParams, McodeScratch};
+use casbn_obs::json::JsonWriter;
 use casbn_store::{Dec, Enc, SectionKind, Store, StoreError, StoreWriter};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Tag of the [`SectionKind::Graph`] section that holds the maintained
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 pub const CHECKPOINT_CHORDAL_TAG: u32 = 1;
 
 /// Configuration of a streaming run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Samples ingested per window.
     pub batch: usize,
@@ -43,7 +43,7 @@ impl Default for StreamConfig {
 }
 
 /// Per-window measurements of a streaming run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WindowReport {
     /// Window index (0-based).
     pub window: usize,
@@ -74,7 +74,7 @@ pub struct WindowReport {
 }
 
 /// Summary of a completed streaming run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StreamSummary {
     /// Genes in the stream.
     pub genes: usize,
@@ -97,6 +97,61 @@ impl StreamSummary {
     /// Total edge churn (inserts + removes) across all windows.
     pub fn total_churn(&self) -> usize {
         self.windows.iter().map(|w| w.inserts + w.removes).sum()
+    }
+
+    /// The `casbn stream --json` document (newline terminated): the
+    /// fields in declaration order, each window's `wall` as
+    /// `{"secs": s, "nanos": n}`.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("genes");
+        w.value_u64(self.genes as u64);
+        w.key("windows");
+        w.begin_array();
+        for r in &self.windows {
+            w.begin_object();
+            for (key, v) in [
+                ("window", r.window),
+                ("samples_seen", r.samples_seen),
+                ("inserts", r.inserts),
+                ("removes", r.removes),
+                ("network_edges", r.network_edges),
+                ("chordal_edges", r.chordal_edges),
+                ("clusters", r.clusters),
+            ] {
+                w.key(key);
+                w.value_u64(v as u64);
+            }
+            for (key, v) in [
+                ("stability", r.stability),
+                ("sim_ingest", r.sim_ingest),
+                ("sim_chordal", r.sim_chordal),
+            ] {
+                w.key(key);
+                w.value_f64(v);
+            }
+            w.key("wall");
+            w.begin_object();
+            w.key("secs");
+            w.value_u64(r.wall.as_secs());
+            w.key("nanos");
+            w.value_u64(r.wall.subsec_nanos().into());
+            w.end_object();
+            w.end_object();
+        }
+        w.end_array();
+        for (key, v) in [
+            ("checksum", self.checksum),
+            ("wall_p50_nanos", self.wall_p50_nanos),
+            ("wall_p95_nanos", self.wall_p95_nanos),
+            ("wall_max_nanos", self.wall_max_nanos),
+        ] {
+            w.key(key);
+            w.value_u64(v);
+        }
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -599,6 +654,7 @@ mod tests {
     use crate::replay::synthesize_replay;
     use casbn_chordal::is_chordal;
     use casbn_expr::DatasetPreset;
+    use casbn_obs::json::Value;
 
     fn small_replay() -> ExpressionMatrix {
         synthesize_replay(DatasetPreset::Yng, 0.02, Some(8))
@@ -720,8 +776,51 @@ mod tests {
     fn summary_serializes() {
         let m = synthesize_replay(DatasetPreset::Yng, 0.01, Some(4));
         let s = StreamDriver::run(&m, StreamConfig::default());
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("checksum"));
-        assert!(json.contains("windows"));
+        let doc = casbn_obs::json::parse(&s.to_json()).unwrap();
+        let keys = |v: &Value| match v {
+            Value::Object(entries) => entries.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys(&doc),
+            [
+                "genes",
+                "windows",
+                "checksum",
+                "wall_p50_nanos",
+                "wall_p95_nanos",
+                "wall_max_nanos"
+            ]
+        );
+        assert_eq!(doc.field("checksum").unwrap().as_u64(), Ok(s.checksum));
+        let windows = doc.field("windows").unwrap().as_array().unwrap();
+        assert_eq!(windows.len(), s.windows.len());
+        assert!(!windows.is_empty());
+        for (v, r) in windows.iter().zip(&s.windows) {
+            assert_eq!(
+                keys(v),
+                [
+                    "window",
+                    "samples_seen",
+                    "inserts",
+                    "removes",
+                    "network_edges",
+                    "chordal_edges",
+                    "clusters",
+                    "stability",
+                    "sim_ingest",
+                    "sim_chordal",
+                    "wall"
+                ]
+            );
+            let wall = v.field("wall").unwrap();
+            assert_eq!(keys(wall), ["secs", "nanos"]);
+            assert_eq!(wall.field("secs").unwrap().as_u64(), Ok(r.wall.as_secs()));
+            assert_eq!(
+                wall.field("nanos").unwrap().as_u64(),
+                Ok(r.wall.subsec_nanos().into())
+            );
+            assert_eq!(v.field("stability").unwrap().as_f64(), Ok(r.stability));
+        }
     }
 }
