@@ -16,9 +16,26 @@
 //! Sensitivity = TP/(TP+FN), specificity = TN/(TN+FP) (Fig. 8). Clusters
 //! with *no* overlap at all are "lost" (original-only) or "found"
 //! (filtered-only) — Fig. 5 bottom.
+//!
+//! # Index
+//!
+//! [`overlap_table`] and [`lost_and_found`] share one inverted index
+//! from each vertex the original clusters *touch* (list in `vertices`
+//! or use as an edge endpoint) to the ascending indices of the clusters
+//! touching it. Vertex ids are remapped densely, so the index is
+//! O(total cluster size), never O(largest vertex id). A filtered
+//! cluster is scored only against the original clusters that touch a
+//! vertex it touches. Skipping the rest is exact: an original cluster
+//! sharing no touched vertex shares no listed vertex and no edge, so
+//! both its overlaps are 0 and a full scan would pass over it too.
+//! Candidates are scored in ascending index order, which keeps the
+//! lower-index tie-break, and shared nodes and edges are counted per
+//! occurrence in the original cluster exactly as [`node_overlap`] and
+//! [`edge_overlap`] count them, so every ratio is the same integer
+//! quotient bit for bit.
 
+use casbn_graph::VertexId;
 use casbn_mcode::Cluster;
-use std::collections::BTreeSet;
 
 /// Overlap of one filtered cluster with its best-matching original
 /// cluster.
@@ -70,69 +87,215 @@ pub struct SensitivitySpecificity {
     pub specificity: f64,
 }
 
-/// Fraction of `of`'s nodes shared with `with`.
-pub fn node_overlap(of: &Cluster, with: &Cluster) -> f64 {
-    if of.vertices.is_empty() {
-        return 0.0;
+/// `shared / of_len`, and 0 for an empty side (the overlap of an empty
+/// cluster is 0, not NaN).
+fn ratio(shared: usize, of_len: usize) -> f64 {
+    if of_len == 0 {
+        0.0
+    } else {
+        shared as f64 / of_len as f64
     }
-    let set: BTreeSet<_> = with.vertices.iter().collect();
-    let shared = of.vertices.iter().filter(|v| set.contains(v)).count();
-    shared as f64 / of.vertices.len() as f64
 }
 
-/// Fraction of `of`'s edges shared with `with`.
+/// Fraction of `of`'s nodes shared with `with` (duplicates in `of` count
+/// once per occurrence).
+pub fn node_overlap(of: &Cluster, with: &Cluster) -> f64 {
+    let mut set = with.vertices.clone();
+    set.sort_unstable();
+    let shared = of
+        .vertices
+        .iter()
+        .filter(|v| set.binary_search(v).is_ok())
+        .count();
+    ratio(shared, of.vertices.len())
+}
+
+/// Fraction of `of`'s edges shared with `with` (duplicates in `of` count
+/// once per occurrence).
 pub fn edge_overlap(of: &Cluster, with: &Cluster) -> f64 {
-    if of.edges.is_empty() {
-        return 0.0;
+    let mut set = with.edges.clone();
+    set.sort_unstable();
+    let shared = of
+        .edges
+        .iter()
+        .filter(|e| set.binary_search(e).is_ok())
+        .count();
+    ratio(shared, of.edges.len())
+}
+
+/// Every vertex a cluster touches: its `vertices`, then both endpoints
+/// of each of its `edges` (repeats included).
+fn touched(c: &Cluster) -> impl Iterator<Item = VertexId> + '_ {
+    c.vertices
+        .iter()
+        .copied()
+        .chain(c.edges.iter().flat_map(|&(u, v)| [u, v]))
+}
+
+/// Inverted index over the original clusters, from each vertex they
+/// touch to the ascending indices of the clusters touching it.
+///
+/// Vertex ids are remapped densely (sorted, deduplicated), so every
+/// array here is O(total original cluster size), whatever the largest
+/// vertex id.
+struct TouchIndex {
+    /// Sorted, deduplicated ids touched by some original cluster; a
+    /// vertex's position here is its dense id.
+    ids: Vec<VertexId>,
+    /// `touching[start[x]..start[x + 1]]` lists, ascending, the original
+    /// clusters touching dense vertex `x`.
+    start: Vec<usize>,
+    touching: Vec<usize>,
+    /// Whether dense vertex `x` is listed in some original cluster's
+    /// `vertices` (an edge endpoint alone does not count).
+    listed: Vec<bool>,
+    /// Original cluster `c`'s `vertices` as dense ids, repeats kept:
+    /// `vertices[vstart[c]..vstart[c + 1]]`.
+    vstart: Vec<usize>,
+    vertices: Vec<usize>,
+}
+
+impl TouchIndex {
+    fn new(original: &[Cluster]) -> Self {
+        // (vertex, cluster) pairs, deduplicated per cluster first: an
+        // MCODE cluster touches each vertex again for every edge
+        let mut pairs: Vec<(VertexId, usize)> = Vec::new();
+        let mut row: Vec<VertexId> = Vec::new();
+        for (ci, c) in original.iter().enumerate() {
+            row.clear();
+            row.extend(touched(c));
+            row.sort_unstable();
+            row.dedup();
+            pairs.extend(row.iter().map(|&v| (v, ci)));
+        }
+        // sorting by (vertex, cluster) makes each vertex's run ascending
+        pairs.sort_unstable();
+        let mut ids = Vec::new();
+        let mut start = Vec::new();
+        for (i, &(v, _)) in pairs.iter().enumerate() {
+            if ids.last() != Some(&v) {
+                ids.push(v);
+                start.push(i);
+            }
+        }
+        start.push(pairs.len());
+        let dense = |v: VertexId| ids.binary_search(&v).expect("every touched id is indexed");
+
+        let mut listed = vec![false; ids.len()];
+        let mut vstart = Vec::with_capacity(original.len() + 1);
+        vstart.push(0);
+        let mut vertices = Vec::new();
+        for c in original {
+            for &v in &c.vertices {
+                let x = dense(v);
+                listed[x] = true;
+                vertices.push(x);
+            }
+            vstart.push(vertices.len());
+        }
+        TouchIndex {
+            touching: pairs.into_iter().map(|(_, ci)| ci).collect(),
+            ids,
+            start,
+            listed,
+            vstart,
+            vertices,
+        }
     }
-    let set: BTreeSet<_> = with.edges.iter().collect();
-    let shared = of.edges.iter().filter(|e| set.contains(e)).count();
-    shared as f64 / of.edges.len() as f64
+
+    /// Dense id of `v`, if some original cluster touches it.
+    fn dense(&self, v: VertexId) -> Option<usize> {
+        self.ids.binary_search(&v).ok()
+    }
+
+    /// Ascending indices of the original clusters touching dense `x`.
+    fn touching(&self, x: usize) -> &[usize] {
+        &self.touching[self.start[x]..self.start[x + 1]]
+    }
+
+    /// Original cluster `c`'s `vertices` as dense ids.
+    fn vertices_of(&self, c: usize) -> &[usize] {
+        &self.vertices[self.vstart[c]..self.vstart[c + 1]]
+    }
 }
 
 /// For every filtered cluster, find the original cluster with the highest
 /// node overlap (ties: higher edge overlap, then lower index). Overlap
 /// fractions are measured **relative to the original cluster**, matching
 /// the paper's "% of original retained" reading.
+///
+/// Only the original clusters touching a vertex the filtered cluster
+/// touches are scored (see the module docs for why that is exact); the
+/// number scored is charged to `analysis.overlap_candidates`.
 pub fn overlap_table(original: &[Cluster], filtered: &[Cluster]) -> Vec<ClusterComparison> {
-    filtered
+    let index = TouchIndex::new(original);
+    // stamps are `fi + 1`, so 0 never matches a filtered cluster
+    let mut mark = vec![0usize; index.ids.len()];
+    let mut seen = vec![0usize; original.len()];
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut edges = Vec::new();
+    let mut scored = 0u64;
+    let table = filtered
         .iter()
         .enumerate()
         .map(|(fi, fc)| {
+            let stamp = fi + 1;
+            for x in fc.vertices.iter().filter_map(|&v| index.dense(v)) {
+                mark[x] = stamp;
+            }
+            candidates.clear();
+            for x in touched(fc).filter_map(|v| index.dense(v)) {
+                for &oi in index.touching(x) {
+                    if seen[oi] != stamp {
+                        seen[oi] = stamp;
+                        candidates.push(oi);
+                    }
+                }
+            }
+            candidates.sort_unstable();
+            scored += candidates.len() as u64;
+            edges.clear();
+            edges.extend_from_slice(&fc.edges);
+            edges.sort_unstable();
+
             let mut best: Option<(usize, f64, f64)> = None;
-            for (oi, oc) in original.iter().enumerate() {
-                let no = node_overlap(oc, fc);
-                let eo = edge_overlap(oc, fc);
+            for &oi in &candidates {
+                let oc = &original[oi];
+                let nodes = index
+                    .vertices_of(oi)
+                    .iter()
+                    .filter(|&&x| mark[x] == stamp)
+                    .count();
+                let shared_edges = oc
+                    .edges
+                    .iter()
+                    .filter(|e| edges.binary_search(e).is_ok())
+                    .count();
+                let no = ratio(nodes, oc.vertices.len());
+                let eo = ratio(shared_edges, oc.edges.len());
                 if no == 0.0 && eo == 0.0 {
                     continue;
                 }
                 best = match best {
+                    Some((_, bn, be)) if no > bn || (no == bn && eo > be) => Some((oi, no, eo)),
                     None => Some((oi, no, eo)),
-                    Some((bi, bn, be)) => {
-                        if no > bn || (no == bn && eo > be) {
-                            Some((oi, no, eo))
-                        } else {
-                            Some((bi, bn, be))
-                        }
-                    }
+                    keep => keep,
                 };
             }
-            match best {
-                Some((oi, no, eo)) => ClusterComparison {
-                    filtered_idx: fi,
-                    best_original: Some(oi),
-                    node_overlap: no,
-                    edge_overlap: eo,
-                },
-                None => ClusterComparison {
-                    filtered_idx: fi,
-                    best_original: None,
-                    node_overlap: 0.0,
-                    edge_overlap: 0.0,
-                },
+            let (best_original, node_overlap, edge_overlap) = match best {
+                Some((oi, no, eo)) => (Some(oi), no, eo),
+                None => (None, 0.0, 0.0),
+            };
+            ClusterComparison {
+                filtered_idx: fi,
+                best_original,
+                node_overlap,
+                edge_overlap,
             }
         })
-        .collect()
+        .collect();
+    casbn_obs::counter_add("analysis.overlap_candidates", scored);
+    table
 }
 
 /// Classify clusters into quadrants. `aees[i]` is the AEES of filtered
@@ -200,17 +363,23 @@ impl QuadrantCounts {
 /// clusters sharing no node with any filtered cluster; `found` = indices
 /// of filtered clusters sharing no node with any original cluster.
 pub fn lost_and_found(original: &[Cluster], filtered: &[Cluster]) -> (Vec<usize>, Vec<usize>) {
-    let lost = original
-        .iter()
-        .enumerate()
-        .filter(|(_, oc)| filtered.iter().all(|fc| node_overlap(oc, fc) == 0.0))
-        .map(|(i, _)| i)
-        .collect();
+    let index = TouchIndex::new(original);
+    // `hit[x]`: dense vertex `x` is listed in some filtered cluster
+    let mut hit = vec![false; index.ids.len()];
     let found = filtered
         .iter()
         .enumerate()
-        .filter(|(_, fc)| original.iter().all(|oc| node_overlap(oc, fc) == 0.0))
-        .map(|(i, _)| i)
+        .filter_map(|(fi, fc)| {
+            let mut shares = false;
+            for x in fc.vertices.iter().filter_map(|&v| index.dense(v)) {
+                hit[x] = true;
+                shares |= index.listed[x];
+            }
+            (!shares).then_some(fi)
+        })
+        .collect();
+    let lost = (0..original.len())
+        .filter(|&oi| !index.vertices_of(oi).iter().any(|&x| hit[x]))
         .collect();
     (lost, found)
 }
@@ -218,7 +387,6 @@ pub fn lost_and_found(original: &[Cluster], filtered: &[Cluster]) -> (Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casbn_graph::VertexId;
 
     fn mk(verts: &[VertexId], edges: &[(VertexId, VertexId)]) -> Cluster {
         Cluster {

@@ -94,8 +94,13 @@ pub struct ClusterAnnotation {
     pub scored_edges: usize,
 }
 
-/// Edge-enrichment scorer. Wraps an [`AnnotatedOntology`] and memoises
-/// per-edge results.
+/// Edge-enrichment scorer over an [`AnnotatedOntology`].
+///
+/// The scorer holds only the reference, so [`EnrichmentScorer::new`] is
+/// O(1). What is precomputed lives in the DAG: every term's ancestor
+/// slice, built once by [`GoDag::generate`], so each term-pair DCP query
+/// is a merge-join of two short sorted slices. Term pairs evaluated are
+/// charged to `ontology.dcp_queries`, once per call.
 #[derive(Clone, Debug)]
 pub struct EnrichmentScorer<'a> {
     onto: &'a AnnotatedOntology,
@@ -111,11 +116,16 @@ impl<'a> EnrichmentScorer<'a> {
     /// the endpoint genes' terms, with the witnessing DCP. `None` if
     /// either endpoint has no annotation.
     pub fn edge_score(&self, u: VertexId, v: VertexId) -> Option<(TermId, i64)> {
+        let (best, pairs) = self.best_pair(u, v);
+        casbn_obs::counter_add("ontology.dcp_queries", pairs);
+        best
+    }
+
+    /// [`Self::edge_score`] without the counter, plus the number of term
+    /// pairs it evaluated.
+    fn best_pair(&self, u: VertexId, v: VertexId) -> (Option<(TermId, i64)>, u64) {
         let tu = self.onto.terms_of(u);
         let tv = self.onto.terms_of(v);
-        if tu.is_empty() || tv.is_empty() {
-            return None;
-        }
         let mut best: Option<(TermId, i64)> = None;
         for &a in tu {
             for &b in tv {
@@ -128,7 +138,7 @@ impl<'a> EnrichmentScorer<'a> {
                 };
             }
         }
-        best
+        (best, (tu.len() * tv.len()) as u64)
     }
 
     /// Annotate a cluster given its edge list: AEES = mean edge score
@@ -139,14 +149,18 @@ impl<'a> EnrichmentScorer<'a> {
         let mut dcp_count: BTreeMap<TermId, usize> = BTreeMap::new();
         let mut scored = 0usize;
         let mut max_depth = 0u32;
+        let mut queries = 0u64;
         for &(u, v) in edges {
-            if let Some((dcp, s)) = self.edge_score(u, v) {
+            let (best, pairs) = self.best_pair(u, v);
+            queries += pairs;
+            if let Some((dcp, s)) = best {
                 total += s as f64;
                 scored += 1;
                 *dcp_count.entry(dcp).or_default() += 1;
                 max_depth = max_depth.max(self.onto.dag.depth(dcp));
             }
         }
+        casbn_obs::counter_add("ontology.dcp_queries", queries);
         let aees = if edges.is_empty() {
             0.0
         } else {

@@ -9,19 +9,42 @@
 //! override are process-global, so phases run sequentially in a single
 //! test body rather than racing from the harness thread pool.
 
+use casbn::analysis::overlap_table;
 use casbn::expr::{CorrelationNetwork, DatasetPreset, ExpressionMatrix, NetworkParams};
 use casbn::graph::store as graph_store;
+use casbn::graph::PartitionKind;
 use casbn::mcode::{mcode_cluster, McodeParams};
+use casbn::ontology::{AnnotatedOntology, EnrichmentScorer, GoDag};
+use casbn::sampling::{Filter, ParallelChordalNoCommFilter};
 use casbn::store::{Store, StoreWriter};
 use casbn::stream::{synthesize_replay, StreamConfig, StreamDriver};
 use std::collections::BTreeMap;
 
 /// The instrumented pipeline under test: a pruned, rayon-parallel
-/// Pearson network build followed by a windowed stream replay (online
-/// correlation, incremental chordal, MCODE, span timers).
+/// Pearson network build, the §IV-A evaluation of its clusters against
+/// those of its chordal filtrate (edge enrichment, overlap table), then
+/// a windowed stream replay (online correlation, incremental chordal,
+/// MCODE, span timers).
 fn run_workload(matrix: &ExpressionMatrix) {
     let net = CorrelationNetwork::from_expression(matrix, NetworkParams::default());
     assert!(net.graph.m() > 0, "workload must do real work");
+    let params = McodeParams::default();
+    let original = mcode_cluster(&net.graph, &params);
+    let filtered = ParallelChordalNoCommFilter::new(4, PartitionKind::Block).filter(&net.graph, 0);
+    let clusters = mcode_cluster(&filtered.graph, &params);
+    let onto = AnnotatedOntology::synthetic(
+        matrix.genes(),
+        &[],
+        GoDag::generate(8, 4, 0.25, 0x60),
+        6,
+        2,
+        0xA11,
+    );
+    let scorer = EnrichmentScorer::new(&onto);
+    for c in &clusters {
+        scorer.annotate_cluster(&c.edges);
+    }
+    assert_eq!(overlap_table(&original, &clusters).len(), clusters.len());
     let mut driver = StreamDriver::new(matrix.genes(), StreamConfig::default());
     let mut lo = 0;
     while lo < matrix.samples() {
@@ -72,6 +95,8 @@ fn deterministic_snapshot_is_thread_count_and_tier_invariant() {
         "\"stream.windows\"",
         "\"inc_chordal.batches\"",
         "\"mcode.runs\"",
+        "\"ontology.dcp_queries\"",
+        "\"analysis.overlap_candidates\"",
         "\"stream.window\"", // span aggregate
     ] {
         assert!(reference.contains(key), "snapshot is missing {key}");
@@ -92,6 +117,12 @@ fn deterministic_snapshot_is_thread_count_and_tier_invariant() {
         snap.spans.get("stream.window").is_some_and(|a| a.count > 0),
         "stream span must aggregate"
     );
+    for key in ["ontology.dcp_queries", "analysis.overlap_candidates"] {
+        assert!(
+            snap.counters.get(key).is_some_and(|&n| n > 0),
+            "{key} must count the evaluation's work"
+        );
+    }
 
     // --- phase 3: owned vs borrowed store tiers agree off `store.*` ---
     let ds = DatasetPreset::Yng.build_scaled(0.05);
